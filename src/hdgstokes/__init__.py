@@ -2,7 +2,7 @@
 conditions and one-level RAS/MRAS Schwarz preconditioners."""
 
 from .fem_space import NVTF, TVNF, DofMap, build_dof_map, dof_locations
-from .krylov import Factorization, KrylovReport, gmres, lu_factor, lu_solve
+from .krylov import Factorization, KrylovReport, gmres
 from .mesh import Triangulation, dual_graph, generate, read_mesh, refine_uniform, write_mesh
 from .schwarz import (Decomposition, SchwarzPreconditioner, add_overlap,
                       build_decomposition, build_mras, build_ras, decompose,
@@ -12,7 +12,7 @@ from .verify import ErrorReport, catalogue, energy_norm, eoc, error_norms, inter
 
 __all__ = [
     "NVTF", "TVNF", "DofMap", "build_dof_map", "dof_locations",
-    "Factorization", "KrylovReport", "gmres", "lu_factor", "lu_solve",
+    "Factorization", "KrylovReport", "gmres",
     "Triangulation", "dual_graph", "generate", "read_mesh", "refine_uniform",
     "write_mesh", "Decomposition", "SchwarzPreconditioner", "add_overlap",
     "build_decomposition", "build_mras", "build_ras", "decompose",

@@ -69,7 +69,7 @@ def _build_parser():
 
     s = sub.add_parser("solve", description="solve one case, export fields")
     s.add_argument("--case", choices=sorted(CASE_BC))
-    s.add_argument("--domain", default="unit_square")
+    s.add_argument("--domain")
     s.add_argument("--n", type=int)
     s.add_argument("--eps", type=int, choices=[-1, 1])
     s.add_argument("--tau", type=float)
@@ -81,32 +81,80 @@ def _build_parser():
 
 _DEFAULTS = dict(tau=6.0, nu=1.0, eps=-1, tol=1e-6, overlap=1, n0=8, levels=4,
                  seed=0, guess="random", max_iter=400, parts="uniform:2x2",
-                 precond="ras")
+                 precond="ras", domain="unit_square")
+_AT_LEAST_ONE = ("n", "n0", "levels", "overlap", "max_iter")
+_POSITIVE = ("tau", "nu", "tol")
 
 
-def _merge(args, keys):
-    """flags > config file > defaults; missing required keys raise UsageError."""
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+def _read_config(path):
+    """(key, value) pairs of a key=value config file."""
+    try:
+        with open(path) as f:
+            lines = f.read().splitlines()
+    except OSError as err:
+        raise UsageError(f"cannot read config file {path}: {err.strerror}") from None
+    pairs = []
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise UsageError(f"bad config line {line!r}")
+        k, _, v = line.partition("=")
+        pairs.append((k.strip(), v.strip()))
+    return pairs
+
+
+def _merge(parser, args):
+    """flags > config file > defaults, then _validate.
+
+    Config values are parsed by the same argparse flags, so they get the
+    flags' types and choices; an unknown key is a usage error.
+    """
+    keys = [k for k in vars(args) if k not in ("command", "config")]
     cfg = {}
     path = getattr(args, "config", None)
     if path:
-        with open(path) as f:
-            for line in f:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise UsageError(f"bad config line {line!r}")
-                k, _, v = line.partition("=")
-                cfg[k.strip()] = v.strip()
+        argv = [args.command]
+        for k, v in _read_config(path):
+            if k not in keys:
+                raise UsageError(f"{path}: unknown key {k!r}")
+            argv.append(f"{_flag(k)}={v}")
+        try:
+            cfg = vars(parser.parse_args(argv))
+        except UsageError as err:
+            raise UsageError(f"{path}: {err}") from None
     out = {}
-    for key, cast in keys.items():
-        v = getattr(args, key, None)
-        if v is None and key in cfg:
-            v = cast(cfg[key])
+    for key in keys:
+        v = getattr(args, key)
+        if v is None:
+            v = cfg.get(key)
         if v is None:
             v = _DEFAULTS.get(key)
         out[key] = v
+    _validate(out)
     return out
+
+
+def _validate(cfg):
+    """Range checks on merged options; every violation is a usage error."""
+    if "n" in cfg and cfg["n"] is None:
+        raise UsageError("--n is required")
+    for key in _AT_LEAST_ONE:
+        if cfg.get(key) is not None and cfg[key] < 1:
+            raise UsageError(f"{_flag(key)} must be at least 1, got {cfg[key]}")
+    for key in _POSITIVE:
+        if cfg.get(key) is not None and not cfg[key] > 0:
+            raise UsageError(f"{_flag(key)} must be positive, got {cfg[key]}")
+    if cfg.get("parts") is not None:
+        try:
+            schwarz.parse_strategy(cfg["parts"])
+        except ValueError as err:
+            raise UsageError(f"--parts: {err}") from None
 
 
 def _check_case(cfg):
@@ -219,41 +267,23 @@ def run_solve(cfg):
     sysm = system.assemble(T, dm, nu=cfg["nu"], tau=cfg["tau"], eps=cfg["eps"],
                            f=exact.f, g=exact.g)
     x = system.solve_direct(sysm)
-    B = verify._batch(T)
-    vd, _, pres = verify._dof_values(T, dm, x)
     centers = T.barycenters()
-    uh = verify._eval_field(B, verify._mono_coeffs(B, vd), centers[:, None, :])[:, 0, :]
+    uh = verify.velocity_at(T, dm, x, centers[:, None, :])[:, 0, :]
+    pres = x[dm.pres_dof(np.arange(dm.n_tris))]
     lines = [_config_comment("solve", cfg), "x,y,ux,uy,p\n"]
     for c, u, p in zip(centers, uh, pres):
         lines.append(",".join(_fmt(v) for v in (c[0], c[1], u[0], u[1], p)) + "\n")
     _emit("".join(lines), cfg["out"])
 
 
+_RUN = dict(converge=run_converge, precond=run_precond, info=run_info, solve=run_solve)
+
+
 def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "converge":
-            keys = dict(case=str, bc=str, eps=int, tau=float, nu=float, n0=int,
-                        levels=int, out=str)
-            run_converge(_merge(args, keys))
-        elif args.command == "precond":
-            keys = dict(case=str, bc=str, eps=int, tau=float, nu=float, n=int,
-                        parts=str, overlap=int, precond=str, tol=float,
-                        max_iter=int, seed=int, guess=str, out=str)
-            cfg = _merge(args, keys)
-            if cfg["n"] is None:
-                raise UsageError("--n is required")
-            run_precond(cfg)
-        elif args.command == "info":
-            run_info(dict(domain=args.domain, n=args.n, bc=args.bc))
-        elif args.command == "solve":
-            keys = dict(case=str, domain=str, n=int, eps=int, tau=float, nu=float,
-                        out=str)
-            cfg = _merge(args, keys)
-            if cfg["n"] is None:
-                raise UsageError("--n is required")
-            run_solve(cfg)
+        _RUN[args.command](_merge(parser, args))
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -41,14 +41,6 @@ class Factorization:
         return self._lu.solve(np.asarray(b, dtype=float))
 
 
-def lu_factor(A):
-    return Factorization(A)
-
-
-def lu_solve(F, b):
-    return F.solve(b)
-
-
 @dataclass
 class KrylovReport:
     iterations: int

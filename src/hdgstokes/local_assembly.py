@@ -1,4 +1,9 @@
-"""Per-triangle kernels for the hybrid dG Stokes discretisation (k = 1).
+"""Batched element kernels for the hybrid dG Stokes discretisation (k = 1).
+
+Every quantity is computed at once for a stack of triangles: geometry and
+basis coefficients have a leading element axis, and the local forms return
+stacked 9x9 blocks, pressure rows and loads, so assembly, the MRAS local
+rebuild and the error norms all run as numpy array operations.
 
 The BDM1 basis is built directly in physical coordinates by inverting the
 6x6 matrix of dof functionals (point values of v . n_E at the two Gauss
@@ -10,6 +15,9 @@ All edge quantities use the global edge tangent t_E (lower->higher) and
 the element's outward normal; with the multiplier stored along t_E the
 edge integrands are invariant under the tangent-orientation choice, so no
 per-element sign bookkeeping is needed for the multiplier coupling.
+
+Local dof order: the 6 BDM dofs (2 loc + m for local edge loc, Gauss node
+m), then the 3 multipliers (6 + loc).
 """
 
 import numpy as np
@@ -21,154 +29,160 @@ class GeometryError(Exception):
     pass
 
 
-_EDGE_QUAD = edge_gauss(3)  # degree-5 on edges, exact for every discrete term
+_EDGE_QUAD = edge_gauss(3)  # degree-5 on edges, used for the boundary data
 _TRI_DATA = tri_rule(5)     # degree-5 in elements, used for manufactured loads
 
 
-class ElementKernel:
-    """BDM1 basis and edge geometry of one triangle."""
+class ElementStack:
+    """BDM1 basis and edge geometry of the triangles elems of T (all by default).
 
-    def __init__(self, T, k):
-        self.tri = k
-        tri = T.triangles[k]
-        self.verts = T.vertices[tri]
-        self.area = T.areas[k]
-        self.h_K = T.h_K[k]
-        self.center = self.verts.mean(axis=0)
-        self.scale = self.h_K
+    Arrays carry the element axis first: verts (ne, 3, 2), edge data
+    (ne, 3, ...) per local edge, coeffs (ne, 6, 6) maps BDM dof values to
+    the scaled monomial coefficients [1, X, Y] of each velocity component,
+    grads (ne, 6, 2, 2) and divs (ne, 6) are the constant basis gradients
+    and divergences.
+    """
 
-        self.edge_ids = T.tri_edges[k]
-        self.signs = T.tri_edge_sign[k].astype(float)
-        elo = T.vertices[T.edges[self.edge_ids, 0]]
-        ehi = T.vertices[T.edges[self.edge_ids, 1]]
-        d = ehi - elo
-        self.edge_len = np.linalg.norm(d, axis=1)
-        self.t_E = d / self.edge_len[:, None]
-        self.n_E = np.column_stack([-self.t_E[:, 1], self.t_E[:, 0]])
-        self.edge_lo = elo
+    def __init__(self, T, elems=None):
+        self.elems = np.arange(T.n_triangles) if elems is None else np.asarray(elems)
+        self.verts = T.vertices[T.triangles[self.elems]]
+        self.area = T.areas[self.elems]
+        self.h_K = T.h_K[self.elems]
+        self.center = self.verts.mean(axis=1)
+
+        self.edge_ids = T.tri_edges[self.elems]
+        self.edge_lo = T.vertices[T.edges[self.edge_ids, 0]]
+        self.d = T.vertices[T.edges[self.edge_ids, 1]] - self.edge_lo
+        self.edge_len = np.linalg.norm(self.d, axis=2)
+        self.t_E = self.d / self.edge_len[..., None]
+        self.n_E = np.stack([-self.t_E[..., 1], self.t_E[..., 0]], axis=-1)
+        self.n_out = T.tri_edge_sign[self.elems, :, None] * self.n_E
 
         # dof functional matrix: rows (edge, node), columns vector monomials
-        F = np.empty((6, 6))
-        for loc in range(3):
-            for m, s in enumerate(BDM_NODES):
-                p = elo[loc] + s * d[loc]
-                X = (p - self.center) / self.scale
-                mono = np.array([1.0, X[0], X[1]])
-                F[2 * loc + m, 0:3] = self.n_E[loc, 0] * mono
-                F[2 * loc + m, 3:6] = self.n_E[loc, 1] * mono
+        F = np.empty((len(self.elems), 6, 6))
+        for m, s in enumerate(BDM_NODES):
+            mono = self.monomials(self.edge_lo + s * self.d)   # (ne, 3, 3)
+            F[:, m::2, 0:3] = self.n_E[..., 0:1] * mono
+            F[:, m::2, 3:6] = self.n_E[..., 1:2] * mono
         try:
-            self.coeffs = np.linalg.solve(F, np.eye(6))
+            self.coeffs = np.linalg.inv(F)
         except np.linalg.LinAlgError:
-            raise GeometryError(f"degenerate triangle {k}: singular dof functional matrix")
+            bad = self.elems[np.linalg.matrix_rank(F) < 6]
+            raise GeometryError(f"degenerate triangles {bad.tolist()}: "
+                                f"singular dof functional matrix") from None
 
-        s = self.scale
-        self.grads = np.empty((6, 2, 2))
-        self.grads[:, 0, 0] = self.coeffs[1] / s
-        self.grads[:, 0, 1] = self.coeffs[2] / s
-        self.grads[:, 1, 0] = self.coeffs[4] / s
-        self.grads[:, 1, 1] = self.coeffs[5] / s
-        self.divs = (self.coeffs[1] + self.coeffs[5]) / s
+        s = self.h_K[:, None]
+        self.grads = np.stack([np.stack([self.coeffs[:, 1], self.coeffs[:, 2]], axis=-1),
+                               np.stack([self.coeffs[:, 4], self.coeffs[:, 5]], axis=-1)],
+                              axis=-2) / s[..., None, None]
+        self.divs = (self.coeffs[:, 1] + self.coeffs[:, 5]) / s
+
+    def __len__(self):
+        return len(self.elems)
+
+    def monomials(self, pts):
+        """Monomials [1, X, Y] at points pts (ne, ..., 2) of each element, in
+        coordinates centred at the barycenter and scaled by the diameter."""
+        extra = (1,) * (pts.ndim - 2)
+        X = (pts - self.center.reshape(-1, *extra, 2)) / self.h_K.reshape(-1, *extra, 1)
+        return np.stack([np.ones_like(X[..., 0]), X[..., 0], X[..., 1]], axis=-1)
 
     def eval_basis(self, pts):
-        """Values of the 6 basis fields at physical points; shape (npts, 6, 2)."""
-        X = (np.atleast_2d(pts) - self.center) / self.scale
-        mono = np.column_stack([np.ones(len(X)), X[:, 0], X[:, 1]])  # (npts, 3)
-        out = np.empty((len(X), 6, 2))
-        out[:, :, 0] = mono @ self.coeffs[0:3]
-        out[:, :, 1] = mono @ self.coeffs[3:6]
-        return out
+        """Values of the 6 basis fields at points (ne, q, 2); shape (ne, q, 6, 2)."""
+        mono = self.monomials(pts)
+        return np.stack([mono @ self.coeffs[:, 0:3], mono @ self.coeffs[:, 3:6]], axis=-1)
 
-    def edge_points(self, loc, params):
-        """Physical points on local edge loc at parameters from the lower vertex."""
-        d = self.edge_len[loc] * self.t_E[loc]
-        return self.edge_lo[loc] + np.outer(params, d)
+    def edge_points(self, params):
+        """Points at parameters from the lower vertex on every local edge; (ne, 3, q, 2)."""
+        return self.edge_lo[:, :, None, :] + params[:, None] * self.d[:, :, None, :]
 
-    def outward_normal(self, loc):
-        return self.signs[loc] * self.n_E[loc]
+    def eval_field(self, vd, pts):
+        """Velocity with BDM dof values vd (ne, 6) at points (ne, q, 2); (ne, q, 2)."""
+        mc = np.einsum("tij,tj->ti", self.coeffs, vd)
+        mono = self.monomials(pts)
+        return np.stack([np.einsum("tqm,tm->tq", mono, mc[:, 0:3]),
+                         np.einsum("tqm,tm->tq", mono, mc[:, 3:6])], axis=-1)
 
-    def tangential_traces(self, loc, params):
-        """(v)_t - vtilde over the 9 local dofs at edge points; shape (npts, 9)."""
-        vals = self.eval_basis(self.edge_points(loc, params))
-        tr = np.zeros((len(params), 9))
-        tr[:, :6] = vals @ self.t_E[loc]
-        tr[:, 6 + loc] = -1.0
-        return tr
+    def field_grad(self, vd):
+        """Constant gradient of the velocity with BDM dof values vd; (ne, 2, 2)."""
+        return np.einsum("tjab,tj->tab", self.grads, vd)
+
+    def field_div(self, vd):
+        return np.einsum("tj,tj->t", self.divs, vd)
 
 
-def bdm1_basis(T, k):
-    return ElementKernel(T, k)
-
-
-def local_a(kernel, nu, tau, eps):
-    """9x9 element matrix of the velocity bilinear form (6 BDM + 3 multiplier dofs)."""
+def local_a(ker, nu, tau, eps):
+    """Stacked 9x9 element matrices of the velocity bilinear form; (ne, 9, 9)."""
     if tau <= 0:
         raise ValueError("stabilisation parameter tau must be positive")
     if eps not in (-1, 1):
         raise ValueError("symmetry switch eps must be -1 or +1")
-    A = np.zeros((9, 9))
+    ne = len(ker)
+    A = np.zeros((ne, 9, 9))
     # volume term: gradients are constant on K
-    G = kernel.grads.reshape(6, 4)
-    A[:6, :6] = nu * kernel.area * (G @ G.T)
+    G = ker.grads.reshape(ne, 6, 4)
+    A[:, :6, :6] = nu * ker.area[:, None, None] * (G @ G.transpose(0, 2, 1))
 
-    params, w = _EDGE_QUAD
-    for loc in range(3):
-        L = kernel.edge_len[loc]
-        n_out = kernel.outward_normal(loc)
-        t = kernel.t_E[loc]
-        dnt = np.zeros(9)
-        dnt[:6] = (kernel.grads @ n_out) @ t  # (grad v . n)_t, constant per edge
-        traces = kernel.tangential_traces(loc, params)
-        avg = w @ traces                      # edge average of (v)_t - vtilde
-        A -= nu * L * np.outer(avg, dnt)      # test traces x trial normal derivative
-        A += eps * nu * L * np.outer(dnt, avg)
-        A += nu * (tau / kernel.h_K) * L * np.outer(avg, avg)
+    # per local edge (rows l): the edge average of (v)_t - vtilde, which is
+    # its midpoint value as the basis is linear, and the constant (grad v . n)_t
+    mid = ker.eval_basis(ker.edge_lo + 0.5 * ker.d)          # (ne, 3, 6, 2)
+    avg = np.zeros((ne, 3, 9))
+    avg[:, :, :6] = np.einsum("tljc,tlc->tlj", mid, ker.t_E)
+    avg[:, np.arange(3), 6 + np.arange(3)] = -1.0
+    dnt = np.zeros((ne, 3, 9))
+    dnt[:, :, :6] = np.einsum("tjab,tlb,tla->tlj", ker.grads, ker.n_out, ker.t_E)
+    L = nu * ker.edge_len[..., None]
+    # test traces x (stabilisation - trial normal derivative), plus the eps-scaled
+    # transpose coupling
+    A += (avg * L).transpose(0, 2, 1) @ (tau / ker.h_K[:, None, None] * avg - dnt)
+    A += eps * (dnt * L).transpose(0, 2, 1) @ avg
     return A
 
 
-def local_b(kernel):
-    """Pressure row: entry j = -int_K div(phi_j); multiplier entries are zero."""
-    row = np.zeros(9)
-    row[:6] = -kernel.divs * kernel.area
+def local_b(ker):
+    """Pressure rows: entry j = -int_K div(phi_j); multiplier entries are zero. (ne, 9)"""
+    row = np.zeros((len(ker), 9))
+    row[:, :6] = -ker.divs * ker.area[:, None]
     return row
 
 
-def local_load(kernel, f):
-    """Body-force load int_K f . phi_j for the 6 BDM dofs (degree-5 rule)."""
+def local_load(ker, f):
+    """Body-force loads int_K f . phi_j for the 6 BDM dofs (degree-5 rule); (ne, 6)."""
     bary, w = _TRI_DATA
-    pts = bary @ kernel.verts
-    fv = np.asarray(f(pts[:, 0], pts[:, 1]))
-    basis = kernel.eval_basis(pts)
-    return kernel.area * np.einsum("q,qc,qjc->j", w, fv, basis)
+    pts = np.einsum("qb,tbc->tqc", bary, ker.verts)
+    fv = np.asarray(f(pts[..., 0], pts[..., 1]))
+    return ker.area[:, None] * np.einsum("q,tqc,tqjc->tj", w, fv, ker.eval_basis(pts))
 
 
-def edge_load(T, edge, g, bc):
-    """Boundary-datum load of one edge of Gamma.
+def edge_load(T, edges, g, bc):
+    """Boundary-datum loads of the Gamma edges `edges` (one index or an array).
 
-    TVNF loads the edge's two BDM dofs through (v)_n, NVTF its multiplier
-    dof through vtilde; returns the dof values in block-local order.
+    TVNF loads each edge's two BDM dofs through (v)_n, shape (ne, 2); NVTF
+    its multiplier dof through vtilde, shape (ne,).
     """
-    if not T.boundary_edge[edge]:
-        raise ValueError(f"edge {edge} is not a boundary edge")
-    k = T.edge_tris[edge, 0]
-    loc = int(np.flatnonzero(T.tri_edges[k] == edge)[0])
-    sign = float(T.tri_edge_sign[k, loc])
-    lo = T.vertices[T.edges[edge, 0]]
-    hi = T.vertices[T.edges[edge, 1]]
-    d = hi - lo
-    L = np.linalg.norm(d)
-    t_E = d / L
-    n_out = sign * np.array([-t_E[1], t_E[0]])
+    edges = np.atleast_1d(edges)
+    interior = edges[~T.boundary_edge[edges]]
+    if len(interior):
+        raise ValueError(f"edges {interior.tolist()} are not boundary edges")
+    k = T.edge_tris[edges, 0]
+    loc = np.argmax(T.tri_edges[k] == edges[:, None], axis=1)
+    sign = T.tri_edge_sign[k, loc].astype(float)
+    lo = T.vertices[T.edges[edges, 0]]
+    d = T.vertices[T.edges[edges, 1]] - lo
+    L = np.linalg.norm(d, axis=1)
+    t_E = d / L[:, None]
+    n_out = sign[:, None] * np.column_stack([-t_E[:, 1], t_E[:, 0]])
 
     params, w = _EDGE_QUAD
-    pts = lo + np.outer(params, d)
-    n_q = np.broadcast_to(n_out, (len(params), 2))
-    t_q = np.broadcast_to(t_E, (len(params), 2))
-    gv = np.asarray(g(pts[:, 0], pts[:, 1], n_q, t_q))
+    pts = lo[:, None, :] + params[:, None] * d[:, None, :]
+    n_q = np.broadcast_to(n_out[:, None, :], pts.shape)
+    t_q = np.broadcast_to(t_E[:, None, :], pts.shape)
+    gv = np.asarray(g(pts[..., 0], pts[..., 1], n_q, t_q))
     if bc == "tvnf":
         # v . n_out at the dof nodes is sign * Lagrange basis on the 2 Gauss nodes
         x0, x1 = BDM_NODES
         ell = np.column_stack([(params - x1) / (x0 - x1), (params - x0) / (x1 - x0)])
-        return sign * L * (w * gv) @ ell
+        return (sign * L)[:, None] * ((w * gv) @ ell)
     if bc == "nvtf":
-        return L * (w @ gv)
+        return L * (gv @ w)
     raise ValueError(f"unknown bc {bc!r}")

@@ -36,32 +36,43 @@ class Decomposition:
     weights: list = None  # partition-of-unity diagonal per subdomain
 
 
-def decompose(T, strategy):
-    """Non-overlapping partition from a strategy spec.
+def parse_strategy(strategy):
+    """Validated partition strategy tuple from a spec.
 
     Accepts 'uniform:PXxPY', 'bisect:N', 'file:PATH', or a tuple
-    ('uniform', px, py) / ('bisect', n) / ('file', path). Returns one part
-    id per triangle.
+    ('uniform', px, py) / ('bisect', n) / ('file', path); part counts must
+    be at least 1. Raises ValueError on a malformed spec.
     """
+    spec = strategy
     if isinstance(strategy, str):
         kind, _, arg = strategy.partition(":")
-        if kind == "uniform":
-            px, _, py = arg.partition("x")
-            strategy = ("uniform", int(px), int(py))
-        elif kind == "bisect":
-            strategy = ("bisect", int(arg))
-        elif kind == "file":
-            strategy = ("file", arg)
-        else:
-            raise ValueError(f"unknown partition strategy {strategy!r}")
+        try:
+            if kind == "uniform":
+                px, _, py = arg.partition("x")
+                strategy = ("uniform", int(px), int(py))
+            elif kind == "bisect":
+                strategy = ("bisect", int(arg))
+            elif kind == "file":
+                strategy = ("file", arg)
+        except ValueError:
+            raise ValueError(f"malformed partition strategy {spec!r}") from None
+    if strategy[0] not in ("uniform", "bisect", "file"):
+        raise ValueError(f"unknown partition strategy {spec!r}")
+    if strategy[0] != "file" and min(strategy[1:]) < 1:
+        raise ValueError(f"partition strategy {spec!r} needs at least one part per direction")
+    return strategy
+
+
+def decompose(T, strategy):
+    """Non-overlapping partition from a strategy spec (see parse_strategy).
+    Returns one part id per triangle."""
+    strategy = parse_strategy(strategy)
     kind = strategy[0]
     if kind == "uniform":
         return partition_uniform(T, strategy[1], strategy[2])
     if kind == "bisect":
         return partition_bisect(T, strategy[1])
-    if kind == "file":
-        return partition_from_file(T, strategy[1])
-    raise ValueError(f"unknown partition strategy {strategy!r}")
+    return partition_from_file(T, strategy[1])
 
 
 def partition_uniform(T, px, py):

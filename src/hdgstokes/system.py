@@ -15,7 +15,7 @@ import scipy.io
 import scipy.sparse as sp
 
 from .fem_space import NVTF, TVNF, DofMap
-from .local_assembly import ElementKernel, edge_load, local_a, local_b, local_load
+from .local_assembly import ElementStack, edge_load, local_a, local_b, local_load
 
 
 @dataclass(frozen=True)
@@ -36,40 +36,35 @@ class AssembledSystem:
         return self.dofmap.n_total
 
 
-def element_dofs(dm, edge_ids, tri):
-    """Global indices of the 9 velocity/multiplier dofs and the pressure dof."""
-    gdofs = np.empty(9, dtype=np.int64)
-    gdofs[0:6:2] = 2 * edge_ids
-    gdofs[1:6:2] = 2 * edge_ids + 1
-    gdofs[6:9] = 2 * dm.n_edges + edge_ids
-    return gdofs, dm.pres_dof(tri)
+def element_dofs(dm, edge_ids, tris):
+    """Global indices of the 9 velocity/multiplier dofs (ne, 9) and the pressure
+    dof (ne,) of the triangles tris with edges edge_ids (ne, 3)."""
+    gdofs = np.empty((len(tris), 9), dtype=np.int64)
+    gdofs[:, 0:6:2] = 2 * edge_ids
+    gdofs[:, 1:6:2] = 2 * edge_ids + 1
+    gdofs[:, 6:9] = 2 * dm.n_edges + edge_ids
+    return gdofs, dm.pres_dof(np.asarray(tris))
 
 
 def element_triplets(T, dm, nu, tau, eps, elems=None, rhs=None, f=None):
     """COO triplets (global indices) of the a- and b-form blocks over a set
-    of elements; used for the global system and for MRAS local matrices."""
-    rows, cols, vals = [], [], []
-    it = range(dm.n_tris) if elems is None else elems
-    for k in it:
-        ker = ElementKernel(T, k)
-        gdofs, p = element_dofs(dm, ker.edge_ids, k)
-        A_loc = local_a(ker, nu, tau, eps)
-        ii, jj = np.meshgrid(gdofs, gdofs, indexing="ij")
-        rows.append(ii.ravel())
-        cols.append(jj.ravel())
-        vals.append(A_loc.ravel())
+    of elements; used for the global system and for MRAS local matrices.
 
-        b_loc = local_b(ker)
-        rows.append(np.full(9, p))
-        cols.append(gdofs)
-        vals.append(b_loc)
-        rows.append(gdofs)
-        cols.append(np.full(9, p))
-        vals.append(b_loc)
-
-        if f is not None:
-            rhs[gdofs[:6]] += local_load(ker, f)
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    Triplets come in element order, each element's 9x9 a-block followed by
+    its pressure row and column; with f given, body loads are added to rhs.
+    """
+    ker = ElementStack(T, elems)
+    gdofs, p = element_dofs(dm, ker.edge_ids, ker.elems)
+    ne = len(ker)
+    A_loc = local_a(ker, nu, tau, eps)
+    b_loc = local_b(ker)
+    p9 = np.repeat(p[:, None], 9, axis=1)
+    rows = np.concatenate([np.repeat(gdofs, 9, axis=1), p9, gdofs], axis=1)
+    cols = np.concatenate([np.tile(gdofs, 9), gdofs, p9], axis=1)
+    vals = np.concatenate([A_loc.reshape(ne, 81), b_loc, b_loc], axis=1)
+    if f is not None:
+        np.add.at(rhs, gdofs[:, :6], local_load(ker, f))
+    return rows.ravel(), cols.ravel(), vals.ravel()
 
 
 def assemble(T, dm, nu=1.0, tau=6.0, eps=-1, f=None, g=None, essential_values=None):
@@ -91,13 +86,13 @@ def assemble(T, dm, nu=1.0, tau=6.0, eps=-1, f=None, g=None, essential_values=No
         vals.append(T.areas)
 
     if g is not None:
-        for e in np.flatnonzero(T.boundary_edge):
-            load = edge_load(T, e, g, dm.bc_kind)
-            if dm.bc_kind == TVNF:
-                rhs[2 * e] += load[0]
-                rhs[2 * e + 1] += load[1]
-            else:
-                rhs[dm.mult_dof(e)] += load
+        bnd = np.flatnonzero(T.boundary_edge)
+        load = edge_load(T, bnd, g, dm.bc_kind)
+        if dm.bc_kind == TVNF:
+            rhs[2 * bnd] += load[:, 0]
+            rhs[2 * bnd + 1] += load[:, 1]
+        else:
+            rhs[dm.mult_dof(bnd)] += load
 
     A = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -180,9 +175,9 @@ def essential_values(T, dm, u):
 
 def solve_direct(system):
     """Reference solve through a sparse LU factorisation."""
-    from .krylov import lu_factor, lu_solve
+    from .krylov import Factorization
 
-    return lu_solve(lu_factor(system.A), system.rhs)
+    return Factorization(system.A).solve(system.rhs)
 
 
 def dump_matrix(system, path):

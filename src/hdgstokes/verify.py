@@ -20,8 +20,9 @@ from typing import Callable
 import numpy as np
 
 from .fem_space import NVTF, TVNF
+from .local_assembly import ElementStack
 from .quadrature import edge_gauss, tri_rule
-from .system import manufactured_data
+from .system import element_dofs, manufactured_data
 
 
 @dataclass
@@ -163,66 +164,21 @@ def catalogue(name, nu=1.0):
 
 
 # ---------------------------------------------------------------------------
-# batched element data and field evaluation
+# field evaluation on the batched element kernel
 
-def _batch(T):
-    """Stacked BDM coefficient matrices and geometry for all elements."""
-    from .quadrature import BDM_NODES
-
-    nt = T.n_triangles
-    verts = T.vertices[T.triangles]              # (nt, 3, 2)
-    centers = verts.mean(axis=1)
-    scales = T.h_K
-    elo = T.vertices[T.edges[T.tri_edges, 0]]    # (nt, 3, 2)
-    ehi = T.vertices[T.edges[T.tri_edges, 1]]
-    d = ehi - elo
-    elen = np.linalg.norm(d, axis=2)
-    t_E = d / elen[..., None]
-    n_E = np.stack([-t_E[..., 1], t_E[..., 0]], axis=-1)
-
-    F = np.empty((nt, 6, 6))
-    for m, s in enumerate(BDM_NODES):
-        p = elo + s * d                          # (nt, 3, 2)
-        X = (p - centers[:, None, :]) / scales[:, None, None]
-        mono = np.stack([np.ones_like(X[..., 0]), X[..., 0], X[..., 1]], axis=-1)
-        rows = 2 * np.arange(3) + m
-        F[:, rows, 0:3] = n_E[..., 0:1] * mono
-        F[:, rows, 3:6] = n_E[..., 1:2] * mono
-    C = np.linalg.inv(F)
-    return dict(verts=verts, centers=centers, scales=scales, elo=elo, d=d,
-                elen=elen, t_E=t_E, n_E=n_E, C=C,
-                n_out=T.tri_edge_sign[..., None] * n_E)
+def _element_fields(T, dm, x):
+    """Element stack of T and the solution's per-triangle BDM dof values (nt, 6),
+    multipliers (nt, 3) and pressures (nt,)."""
+    ker = ElementStack(T)
+    gdofs, pdofs = element_dofs(dm, ker.edge_ids, ker.elems)
+    return ker, x[gdofs[:, :6]], x[gdofs[:, 6:]], x[pdofs]
 
 
-def _dof_values(T, dm, x):
-    e = T.tri_edges
-    vd = np.empty((T.n_triangles, 6))
-    vd[:, 0::2] = x[2 * e]
-    vd[:, 1::2] = x[2 * e + 1]
-    mult = x[2 * dm.n_edges + e]
-    pres = x[3 * dm.n_edges + np.arange(dm.n_tris)]
-    return vd, mult, pres
-
-
-def _mono_coeffs(B, vd):
-    return np.einsum("tij,tj->ti", B["C"], vd)  # (nt, 6): [1,X,Y] per component
-
-
-def _eval_field(B, mc, pts):
-    X = (pts - B["centers"][:, None, :]) / B["scales"][:, None, None]
-    mono = np.stack([np.ones_like(X[..., 0]), X[..., 0], X[..., 1]], axis=-1)
-    return np.stack([np.einsum("tqm,tm->tq", mono, mc[:, 0:3]),
-                     np.einsum("tqm,tm->tq", mono, mc[:, 3:6])], axis=-1)
-
-
-def _field_grad(B, mc):
-    s = B["scales"]
-    return np.stack([np.stack([mc[:, 1], mc[:, 2]], axis=-1),
-                     np.stack([mc[:, 4], mc[:, 5]], axis=-1)], axis=-2) / s[:, None, None]
-
-
-def _field_div(B, mc):
-    return (mc[:, 1] + mc[:, 5]) / B["scales"]
+def velocity_at(T, dm, x, pts):
+    """Discrete velocity of the solution vector x at points pts (nt, q, 2),
+    q points in each triangle of T; shape (nt, q, 2)."""
+    ker, vd, _, _ = _element_fields(T, dm, x)
+    return ker.eval_field(vd, pts)
 
 
 @dataclass
@@ -239,20 +195,18 @@ class ErrorReport:
 def error_norms(T, dm, x, exact, tau=6.0):
     """Energy / h / L2 errors of a solution vector against an exact solution."""
     nu = exact.nu
-    B = _batch(T)
-    vd, mult, pres = _dof_values(T, dm, x)
-    mc = _mono_coeffs(B, vd)
-    gh = _field_grad(B, mc)          # (nt, 2, 2)
-    div = _field_div(B, mc)
+    ker, vd, mult, pres = _element_fields(T, dm, x)
+    gh = ker.field_grad(vd)          # (nt, 2, 2)
+    div = ker.field_div(vd)
 
     bary, wv = tri_rule(5)
-    vol_pts = np.einsum("qb,tbc->tqc", bary, B["verts"])
+    vol_pts = np.einsum("qb,tbc->tqc", bary, ker.verts)
     xq, yq = vol_pts[..., 0], vol_pts[..., 1]
     gu = np.asarray(exact.grad_u(xq, yq))        # (nt, q, 2, 2)
     gdiff = gu - gh[:, None, :, :]
     h1_sq = T.areas * np.einsum("q,tqij->t", wv, gdiff ** 2)
 
-    uh = _eval_field(B, mc, vol_pts)
+    uh = ker.eval_field(vd, vol_pts)
     udiff = np.asarray(exact.u(xq, yq)) - uh
     l2u_sq = (T.areas * np.einsum("q,tqc->t", wv, udiff ** 2)).sum()
     pdiff = np.asarray(exact.p(xq, yq)) - pres[:, None]
@@ -260,17 +214,18 @@ def error_norms(T, dm, x, exact, tau=6.0):
     unorm_sq = (T.areas * np.einsum("q,tqc->t", wv, uh ** 2)).sum()
 
     params, we = edge_gauss(4)
+    edge_pts = ker.edge_points(params)
     edge_sq = np.zeros(T.n_triangles)
     stab_sq = np.zeros(T.n_triangles)
     for k in range(3):
-        pts = B["elo"][:, k, None, :] + params[None, :, None] * B["d"][:, k, None, :]
+        pts = edge_pts[:, k]
         geu = np.asarray(exact.grad_u(pts[..., 0], pts[..., 1]))
         gd = geu - gh[:, None, :, :]
-        dn = np.einsum("tqij,tj->tqi", gd, B["n_out"][:, k])
-        edge_sq += B["elen"][:, k] * np.einsum("q,tqi->t", we, dn ** 2)
-        uh_e = _eval_field(B, mc, pts)
-        avg_t = np.einsum("q,tq->t", we, np.einsum("tqc,tc->tq", uh_e, B["t_E"][:, k]))
-        stab_sq += B["elen"][:, k] * (mult[:, k] - avg_t) ** 2
+        dn = np.einsum("tqij,tj->tqi", gd, ker.n_out[:, k])
+        edge_sq += ker.edge_len[:, k] * np.einsum("q,tqi->t", we, dn ** 2)
+        uh_e = ker.eval_field(vd, pts)
+        avg_t = np.einsum("q,tq->t", we, np.einsum("tqc,tc->tq", uh_e, ker.t_E[:, k]))
+        stab_sq += ker.edge_len[:, k] * (mult[:, k] - avg_t) ** 2
 
     energy_sq = nu * (h1_sq + T.h_K * edge_sq + tau / T.h_K * stab_sq).sum()
     err_energy = np.sqrt(energy_sq)
@@ -290,22 +245,20 @@ def energy_norm(T, dm, x, nu=1.0, tau=6.0, parts=False):
     With parts=True returns (h1, edge, stab) sums without the nu factor:
     |||.|||^2 = nu * (h1 + edge + stab).
     """
-    B = _batch(T)
-    vd, mult, _ = _dof_values(T, dm, x)
-    mc = _mono_coeffs(B, vd)
-    gh = _field_grad(B, mc)
+    ker, vd, mult, _ = _element_fields(T, dm, x)
+    gh = ker.field_grad(vd)
     h1_sq = T.areas * np.einsum("tij,tij->t", gh, gh)
 
     params, we = edge_gauss(3)
+    edge_pts = ker.edge_points(params)
     edge_sq = np.zeros(T.n_triangles)
     stab_sq = np.zeros(T.n_triangles)
     for k in range(3):
-        dn = np.einsum("tij,tj->ti", gh, B["n_out"][:, k])
-        edge_sq += B["elen"][:, k] * np.einsum("ti,ti->t", dn, dn)
-        pts = B["elo"][:, k, None, :] + params[None, :, None] * B["d"][:, k, None, :]
-        uh_e = _eval_field(B, mc, pts)
-        avg_t = np.einsum("q,tq->t", we, np.einsum("tqc,tc->tq", uh_e, B["t_E"][:, k]))
-        stab_sq += B["elen"][:, k] * (avg_t - mult[:, k]) ** 2
+        dn = np.einsum("tij,tj->ti", gh, ker.n_out[:, k])
+        edge_sq += ker.edge_len[:, k] * np.einsum("ti,ti->t", dn, dn)
+        uh_e = ker.eval_field(vd, edge_pts[:, k])
+        avg_t = np.einsum("q,tq->t", we, np.einsum("tqc,tc->tq", uh_e, ker.t_E[:, k]))
+        stab_sq += ker.edge_len[:, k] * (avg_t - mult[:, k]) ** 2
 
     h1, edge, stab = h1_sq.sum(), (T.h_K * edge_sq).sum(), (tau / T.h_K * stab_sq).sum()
     if parts:
@@ -314,9 +267,8 @@ def energy_norm(T, dm, x, nu=1.0, tau=6.0, parts=False):
 
 
 def max_divergence(T, dm, x):
-    B = _batch(T)
-    vd, _, _ = _dof_values(T, dm, x)
-    return float(np.abs(_field_div(B, _mono_coeffs(B, vd))).max())
+    ker, vd, _, _ = _element_fields(T, dm, x)
+    return float(np.abs(ker.field_div(vd)).max())
 
 
 def interpolate(T, dm, exact):

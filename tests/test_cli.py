@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from hdgstokes.cli import main
 
@@ -97,3 +98,32 @@ def test_config_file_precedence(tmp_path):
     assert main(["converge", "--config", str(cfg), "--levels", "2",
                  "--out", str(out2)]) == 0
     assert len(out2.read_text().splitlines()) == 2 + 2
+
+
+PRECOND = ["precond", "--case", "bubble", "--n", "4"]
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["precond", "--config", "CFG"], "case=bubble\nn=4\nprecond=foo\n"),
+    (["precond", "--config", "CFG"], "case=bubble\nn=abc\n"),
+    (["precond", "--config", "CFG"], "case=bubble\nn=4\noverlpa=2\n"),
+    (["converge", "--config", "MISSING"], None),
+    (PRECOND + ["--parts", "uniform:0x2"], None),
+    (PRECOND + ["--parts", "bisect:0"], None),
+    (PRECOND + ["--parts", "uniform:2"], None),
+    (PRECOND + ["--overlap", "0"], None),
+    (["info", "--n", "0"], None),
+    (["converge", "--case", "bubble", "--levels", "0"], None),
+    (["converge", "--case", "bubble", "--tau", "-1"], None),
+], ids=["config-bad-choice", "config-bad-int", "config-unknown-key", "config-missing",
+        "parts-uniform-0", "parts-bisect-0", "parts-malformed", "overlap-0", "info-n-0",
+        "levels-0", "tau-negative"])
+def test_bad_input_is_usage_error(tmp_path, capsys, argv, config):
+    cfg = tmp_path / "run.cfg"
+    if config is not None:
+        cfg.write_text(config)
+    argv = [str(cfg) if a == "CFG" else str(tmp_path / "none.cfg") if a == "MISSING" else a
+            for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

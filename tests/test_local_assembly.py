@@ -4,38 +4,58 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from hdgstokes import generate, refine_uniform
-from hdgstokes.local_assembly import (ElementKernel, GeometryError, edge_load,
+from hdgstokes import NVTF, build_dof_map, generate, refine_uniform, verify
+from hdgstokes.local_assembly import (ElementStack, GeometryError, edge_load,
                                       local_a, local_b, local_load)
 from hdgstokes.mesh import Triangulation
-from hdgstokes.quadrature import edge_gauss, tri_rule
+from hdgstokes.quadrature import BDM_NODES, edge_gauss, tri_rule
+from hdgstokes.system import element_dofs, element_triplets
 
 
 def reference_mesh():
     return Triangulation([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [[0, 1, 2]])
 
 
-def random_triangle(rng):
+def random_vertices(rng):
     while True:
         v = rng.uniform(-1, 1, size=(3, 2))
         d1, d2 = v[1] - v[0], v[2] - v[0]
         area = 0.5 * (d1[0] * d2[1] - d1[1] * d2[0])
         if abs(area) > 0.05:
-            if area < 0:
-                v = v[[0, 2, 1]]
-            return Triangulation(v, [[0, 1, 2]])
+            return v[[0, 2, 1]] if area < 0 else v
 
 
-def dof_functionals(kernel, field):
+def random_triangle(rng):
+    return Triangulation(random_vertices(rng), [[0, 1, 2]])
+
+
+def random_soup(rng, count):
+    """Mesh of `count` disjoint random triangles, one per stack entry."""
+    verts = np.vstack([random_vertices(rng) for _ in range(count)])
+    return Triangulation(verts, np.arange(3 * count).reshape(count, 3))
+
+
+def basis(ker, pts, t=0):
+    """Values of the 6 basis fields of stack entry t at points (q, 2); (q, 6, 2)."""
+    pts = np.broadcast_to(np.asarray(pts, float), (len(ker),) + np.shape(pts))
+    return ker.eval_basis(pts)[t]
+
+
+def dof_functionals(ker, field, t=0):
     """Evaluate the 6 dof functionals (v . n_E at edge Gauss nodes) on a field."""
-    from hdgstokes.quadrature import BDM_NODES
-
+    nodes = ker.edge_points(BDM_NODES)[t]          # (3 edges, 2 nodes, 2)
     out = np.empty(6)
     for loc in range(3):
-        for m, s in enumerate(BDM_NODES):
-            p = kernel.edge_points(loc, np.array([s]))[0]
-            out[2 * loc + m] = np.asarray(field(p)) @ kernel.n_E[loc]
+        for m in range(2):
+            out[2 * loc + m] = np.asarray(field(nodes[loc, m])) @ ker.n_E[t, loc]
     return out
+
+
+def duality_matrices(ker):
+    """Dof functionals applied to every basis field of every stack entry; (ne, 6, 6)."""
+    nodes = ker.edge_points(BDM_NODES).reshape(len(ker), 6, 2)
+    vals = ker.eval_basis(nodes)                   # (ne, 6 nodes, 6 fields, 2)
+    return np.einsum("tijc,tic->tij", vals, np.repeat(ker.n_E, 2, axis=1))
 
 
 # --- quadrature exactness ------------------------------------------------
@@ -66,94 +86,114 @@ def test_edge_rule_exactness(npts, maxdeg):
 # --- BDM1 basis ----------------------------------------------------------
 
 def test_duality_reference_triangle():
-    ker = ElementKernel(reference_mesh(), 0)
-    D = np.column_stack([dof_functionals(ker, lambda p, j=j:
-                                         ker.eval_basis(p[None])[0, j]) for j in range(6)])
+    ker = ElementStack(reference_mesh())
+    D = np.column_stack([dof_functionals(ker, lambda p, j=j: basis(ker, p[None])[0, j])
+                         for j in range(6)])
     assert np.abs(D - np.eye(6)).max() < 1e-12
 
 
 def test_duality_random_and_refined():
     rng = np.random.default_rng(42)
-    for _ in range(20):
-        ker = ElementKernel(random_triangle(rng), 0)
-        D = np.column_stack([dof_functionals(ker, lambda p, j=j:
-                                             ker.eval_basis(p[None])[0, j])
-                             for j in range(6)])
-        assert np.abs(D - np.eye(6)).max() < 1e-12
+    D = duality_matrices(ElementStack(random_soup(rng, 20)))
+    assert np.abs(D - np.eye(6)).max() < 1e-12
     # small elements keep the conditioning (scaled monomials)
-    T = generate("unit_square", 64)
-    ker = ElementKernel(T, T.n_triangles - 1)
-    D = np.column_stack([dof_functionals(ker, lambda p, j=j:
-                                         ker.eval_basis(p[None])[0, j]) for j in range(6)])
+    D = duality_matrices(ElementStack(generate("unit_square", 64)))
     assert np.abs(D - np.eye(6)).max() < 1e-12
 
 
 def test_interpolation_reproduces_member_field():
     rng = np.random.default_rng(3)
-    ker = ElementKernel(random_triangle(rng), 0)
+    ker = ElementStack(random_triangle(rng))
     dofs = dof_functionals(ker, lambda p: np.array([p[0], p[1]]))
     pts = rng.uniform(-1, 1, size=(5, 2))
-    vals = np.einsum("qjc,j->qc", ker.eval_basis(pts), dofs)
+    vals = np.einsum("qjc,j->qc", basis(ker, pts), dofs)
     assert np.allclose(vals, pts, atol=1e-12)
+    assert np.allclose(ker.eval_field(dofs[None], pts[None])[0], pts, atol=1e-12)
 
 
 def test_divergence_constant_and_integral():
-    ker = ElementKernel(reference_mesh(), 0)
+    ker = ElementStack(reference_mesh())
     dofs = dof_functionals(ker, lambda p: np.array([p[0], p[1]]))
-    assert abs(np.dot(ker.divs, dofs) * ker.area - 1.0) < 1e-12  # int div(x,y) = 2*area
+    assert abs(np.dot(ker.divs[0], dofs) * ker.area[0] - 1.0) < 1e-12  # int div(x,y) = 2*area
 
 
 def test_degenerate_triangle_raises():
     with pytest.raises((GeometryError, Exception)):
-        ElementKernel(Triangulation([(0, 0), (1, 0), (2, 0.0)], [[0, 1, 2]]), 0)
+        ElementStack(Triangulation([(0, 0), (1, 0), (2, 0.0)], [[0, 1, 2]]))
+
+
+def test_element_subset_matches_full_batch():
+    # the MRAS rebuild assembles over element subsets: every stacked quantity
+    # of a subset, and its triplets and loads, are the matching full-mesh rows
+    T = generate("unit_square", 4)
+    inner = (T.vertices > 0).all(axis=1) & (T.vertices < 1).all(axis=1)
+    jitter = np.random.default_rng(9).uniform(-0.05, 0.05, T.vertices.shape)
+    T = Triangulation(T.vertices + inner[:, None] * jitter, T.triangles)
+    elems = np.array([17, 3, 30, 19, 8, 22])  # 3 and 19 share an edge
+    full, sub = ElementStack(T), ElementStack(T, elems)
+    f = verify.catalogue("bubble").f
+    for a, b in [(sub.coeffs, full.coeffs[elems]), (sub.n_out, full.n_out[elems]),
+                 (local_a(sub, 1.0, 6.0, -1), local_a(full, 1.0, 6.0, -1)[elems]),
+                 (local_b(sub), local_b(full)[elems]),
+                 (local_load(sub, f), local_load(full, f)[elems])]:
+        assert np.allclose(a, b, rtol=1e-14, atol=1e-14 * np.abs(b).max())
+
+    dm = build_dof_map(T, NVTF)
+    r_full, r_sub = np.zeros(dm.n_total), np.zeros(dm.n_total)
+    trip_full = element_triplets(T, dm, 1.0, 6.0, 1, rhs=r_full, f=f)
+    trip_sub = element_triplets(T, dm, 1.0, 6.0, 1, elems=elems, rhs=r_sub, f=f)
+    for a, b in zip(trip_sub, trip_full):
+        b = b.reshape(T.n_triangles, -1)[elems].ravel()
+        assert np.allclose(a, b, rtol=1e-14, atol=1e-14 * np.abs(b).max())
+    gdofs, _ = element_dofs(dm, T.tri_edges, np.arange(T.n_triangles))
+    r_ref = np.zeros(dm.n_total)
+    np.add.at(r_ref, gdofs[elems, :6], local_load(full, f)[elems])
+    assert np.allclose(r_sub, r_ref, rtol=1e-14, atol=1e-14 * np.abs(r_ref).max())
 
 
 # --- local bilinear forms -------------------------------------------------
 
 def test_local_a_symmetric_for_eps_minus_one():
     rng = np.random.default_rng(11)
-    for _ in range(10):
-        ker = ElementKernel(random_triangle(rng), 0)
-        A = local_a(ker, nu=1.7, tau=6.0, eps=-1)
+    for A in local_a(ElementStack(random_soup(rng, 10)), nu=1.7, tau=6.0, eps=-1):
         assert np.abs(A - A.T).max() <= 1e-12 * np.abs(A).max()
 
 
 def test_local_a_rejects_bad_tau():
-    ker = ElementKernel(reference_mesh(), 0)
+    ker = ElementStack(reference_mesh())
     with pytest.raises(ValueError):
         local_a(ker, nu=1.0, tau=0.0, eps=-1)
 
 
 def test_constant_field_annihilated():
     rng = np.random.default_rng(5)
-    ker = ElementKernel(random_triangle(rng), 0)
+    ker = ElementStack(random_triangle(rng))
     c = np.array([0.7, -1.3])
     dofs = np.empty(9)
     dofs[:6] = dof_functionals(ker, lambda p: c)
-    for loc in range(3):
-        dofs[6 + loc] = c @ ker.t_E[loc]  # matching multiplier
+    dofs[6:] = ker.t_E[0] @ c  # matching multipliers
     for eps in (-1, 1):
-        A = local_a(ker, nu=1.0, tau=6.0, eps=eps)
+        A = local_a(ker, nu=1.0, tau=6.0, eps=eps)[0]
         assert np.abs(A @ dofs).max() < 1e-12
 
 
 def quadratic_form_oracle(ker, dofs, nu, tau):
     """nu |v|_H1^2 + nu (tau/h_K) sum_E |E| (avg (v)_t - vtilde)^2, by quadrature."""
-    grad = np.einsum("jab,j->ab", ker.grads, dofs[:6])
-    q = nu * ker.area * (grad ** 2).sum()
+    grad = np.einsum("jab,j->ab", ker.grads[0], dofs[:6])
+    q = nu * ker.area[0] * (grad ** 2).sum()
     params, w = edge_gauss(3)
     for loc in range(3):
-        pts = ker.edge_points(loc, params)
-        vt = np.einsum("qjc,j->qc", ker.eval_basis(pts), dofs[:6])
-        avg = np.dot(w, vt @ ker.t_E[loc]) - dofs[6 + loc]
-        q += nu * (tau / ker.h_K) * ker.edge_len[loc] * avg ** 2
+        pts = ker.edge_points(params)[0, loc]
+        vt = np.einsum("qjc,j->qc", basis(ker, pts), dofs[:6])
+        avg = np.dot(w, vt @ ker.t_E[0, loc]) - dofs[6 + loc]
+        q += nu * (tau / ker.h_K[0]) * ker.edge_len[0, loc] * avg ** 2
     return q
 
 
 def test_quadratic_form_identity_eps_plus_one():
     rng = np.random.default_rng(8)
-    ker = ElementKernel(reference_mesh(), 0)
-    A = local_a(ker, nu=1.0, tau=6.0, eps=1)
+    ker = ElementStack(reference_mesh())
+    A = local_a(ker, nu=1.0, tau=6.0, eps=1)[0]
     for _ in range(50):
         dofs = rng.standard_normal(9)
         q = dofs @ A @ dofs
@@ -161,23 +201,52 @@ def test_quadratic_form_identity_eps_plus_one():
         assert abs(q - q_ref) <= 1e-12 * max(1.0, abs(q_ref))
 
 
+def bilinear_form_oracle(ker, u, v, nu, tau, eps):
+    """a((u, utilde), (v, vtilde)) on stack entry 0, every edge term by quadrature:
+    nu [(grad u, grad v) - <(grad u n)_t, (v)_t - vtilde> + eps <(grad v n)_t,
+    (u)_t - utilde> + (tau/h_K) <Phi0((u)_t - utilde), Phi0((v)_t - vtilde)>]."""
+    gu = np.einsum("jab,j->ab", ker.grads[0], u[:6])
+    gv = np.einsum("jab,j->ab", ker.grads[0], v[:6])
+    total = ker.area[0] * (gu * gv).sum()
+    params, w = edge_gauss(3)
+    for loc in range(3):
+        t, n = ker.t_E[0, loc], ker.n_out[0, loc]
+        vals = basis(ker, ker.edge_points(params)[0, loc])
+        ju = np.einsum("qjc,j->qc", vals, u[:6]) @ t - u[6 + loc]
+        jv = np.einsum("qjc,j->qc", vals, v[:6]) @ t - v[6 + loc]
+        L = ker.edge_len[0, loc]
+        total += L * np.dot(w, -((gu @ n) @ t) * jv + eps * ((gv @ n) @ t) * ju)
+        total += tau / ker.h_K[0] * L * np.dot(w, ju) * np.dot(w, jv)
+    return nu * total
+
+
+def test_bilinear_form_oracle_both_eps():
+    rng = np.random.default_rng(19)
+    ker = ElementStack(random_triangle(rng))
+    for eps in (-1, 1):
+        A = local_a(ker, nu=1.3, tau=6.0, eps=eps)[0]
+        for _ in range(20):
+            u, v = rng.standard_normal((2, 9))
+            ref = bilinear_form_oracle(ker, u, v, nu=1.3, tau=6.0, eps=eps)
+            assert abs(v @ A @ u - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
 def test_multiplier_block_is_stabilisation_only():
     # mult-mult coupling comes from the stabilisation alone: a nonnegative
     # diagonal (tau/h_K) |E| per edge, hence trivially diagonally dominant
     rng = np.random.default_rng(17)
-    for _ in range(5):
-        ker = ElementKernel(random_triangle(rng), 0)
-        A = local_a(ker, nu=1.0, tau=6.0, eps=-1)
+    ker = ElementStack(random_soup(rng, 5))
+    for t, A in enumerate(local_a(ker, nu=1.0, tau=6.0, eps=-1)):
         M = A[6:, 6:]
         off = M - np.diag(np.diag(M))
         assert np.abs(off).max() < 1e-14
-        expected = 6.0 / ker.h_K * ker.edge_len
+        expected = 6.0 / ker.h_K[t] * ker.edge_len[t]
         assert np.allclose(np.diag(M), expected, rtol=1e-12)
 
 
 def test_local_b_on_member_field():
-    ker = ElementKernel(reference_mesh(), 0)
-    row = local_b(ker)
+    ker = ElementStack(reference_mesh())
+    row = local_b(ker)[0]
     assert np.abs(row[6:]).max() == 0.0
     dofs = np.zeros(9)
     dofs[:6] = dof_functionals(ker, lambda p: np.array([p[0], p[1]]))
@@ -190,27 +259,27 @@ def test_local_b_matches_divergence_theorem():
     # -int_K div v = -sum_E int_E v . n_out, checked with edge quadrature
     rng = np.random.default_rng(13)
     for _ in range(10):
-        ker = ElementKernel(random_triangle(rng), 0)
-        row = local_b(ker)
+        ker = ElementStack(random_triangle(rng))
+        row = local_b(ker)[0]
         dofs = np.zeros(9)
         dofs[:6] = rng.standard_normal(6)
         params, w = edge_gauss(3)
         flux = 0.0
         for loc in range(3):
-            pts = ker.edge_points(loc, params)
-            vn = np.einsum("qjc,j->qc", ker.eval_basis(pts), dofs[:6]) @ ker.outward_normal(loc)
-            flux += ker.edge_len[loc] * np.dot(w, vn)
+            pts = ker.edge_points(params)[0, loc]
+            vn = np.einsum("qjc,j->qc", basis(ker, pts), dofs[:6]) @ ker.n_out[0, loc]
+            flux += ker.edge_len[0, loc] * np.dot(w, vn)
         assert abs(row @ dofs + flux) < 1e-12
 
 
 def test_phi0_identity_on_normal_derivative_trace():
     # (grad v n)_t is constant per edge for BDM1, so the edge average is itself
     rng = np.random.default_rng(21)
-    ker = ElementKernel(random_triangle(rng), 0)
+    ker = ElementStack(random_triangle(rng))
     dofs = rng.standard_normal(6)
-    grad = np.einsum("jab,j->ab", ker.grads, dofs)
+    grad = ker.field_grad(dofs[None])[0]
     for loc in range(3):
-        dnt = (grad @ ker.outward_normal(loc)) @ ker.t_E[loc]
+        dnt = (grad @ ker.n_out[0, loc]) @ ker.t_E[0, loc]
         params, w = edge_gauss(3)
         assert abs(np.dot(w, np.full(3, dnt)) - dnt) < 1e-14
 
@@ -218,40 +287,41 @@ def test_phi0_identity_on_normal_derivative_trace():
 # --- loads ----------------------------------------------------------------
 
 def test_zero_loads():
-    ker = ElementKernel(reference_mesh(), 0)
+    ker = ElementStack(reference_mesh())
     f = lambda x, y: np.zeros(np.broadcast(x, y).shape + (2,))
     assert np.abs(local_load(ker, f)).max() == 0.0
 
 
 def test_body_load_constant_force():
     # int_K f . phi with f = (1, 0) equals the first-component integral of phi
-    ker = ElementKernel(reference_mesh(), 0)
+    ker = ElementStack(reference_mesh())
     f = lambda x, y: np.stack([np.ones_like(np.asarray(x, float)),
                                np.zeros_like(np.asarray(x, float))], axis=-1)
-    load = local_load(ker, f)
+    load = local_load(ker, f)[0]
     pts, w = tri_rule(5)
-    xy = pts @ ker.verts
-    ref = ker.area * np.einsum("q,qj->j", w, ker.eval_basis(xy)[:, :, 0])
+    xy = pts @ ker.verts[0]
+    ref = ker.area[0] * np.einsum("q,qj->j", w, basis(ker, xy)[:, :, 0])
     assert np.allclose(load, ref, atol=1e-14)
 
 
 def test_edge_load_tvnf_unit_datum():
     T = generate("unit_square", 1)
     g = lambda x, y, n, t: np.ones_like(np.asarray(x, float))
-    for e in np.flatnonzero(T.boundary_edge):
+    bnd = np.flatnonzero(T.boundary_edge)
+    vals = edge_load(T, bnd, g, "tvnf")
+    for e, val in zip(bnd, vals):
         L = T.edge_lengths()[e]
-        vals = edge_load(T, e, g, "tvnf")
         k = T.edge_tris[e, 0]
         loc = int(np.flatnonzero(T.tri_edges[k] == e)[0])
         sign = T.tri_edge_sign[k, loc]
-        assert np.allclose(vals, sign * L / 2 * np.ones(2), atol=1e-14)
+        assert np.allclose(val, sign * L / 2 * np.ones(2), atol=1e-14)
 
 
 def test_edge_load_nvtf_unit_datum():
     T = generate("unit_square", 1)
     g = lambda x, y, n, t: np.ones_like(np.asarray(x, float))
-    for e in np.flatnonzero(T.boundary_edge):
-        assert abs(edge_load(T, e, g, "nvtf") - T.edge_lengths()[e]) < 1e-14
+    bnd = np.flatnonzero(T.boundary_edge)
+    assert np.abs(edge_load(T, bnd, g, "nvtf") - T.edge_lengths()[bnd]).max() < 1e-14
 
 
 def test_edge_load_interior_edge_rejected():
@@ -263,39 +333,38 @@ def test_edge_load_interior_edge_rejected():
 
 # --- discrete trace inequality --------------------------------------------
 
-def element_trace_constant(ker):
-    """Exact sup of h_K ||v||^2_dK / ||v||^2_K over BDM1 fields on one element."""
+def element_trace_constants(ker):
+    """Exact sup of h_K ||v||^2_dK / ||v||^2_K over BDM1 fields, per element."""
     pts, w = tri_rule(4)
-    xy = pts @ ker.verts
-    vals = ker.eval_basis(xy)
-    M_vol = ker.area * np.einsum("q,qic,qjc->ij", w, vals, vals)
+    vals = ker.eval_basis(np.einsum("qb,tbc->tqc", pts, ker.verts))
+    M_vol = ker.area[:, None, None] * np.einsum("q,tqic,tqjc->tij", w, vals, vals)
     params, we = edge_gauss(3)
-    M_bnd = np.zeros((6, 6))
-    for loc in range(3):
-        ev = ker.eval_basis(ker.edge_points(loc, params))
-        M_bnd += ker.edge_len[loc] * np.einsum("q,qic,qjc->ij", we, ev, ev)
-    return ker.h_K * scipy.linalg.eigh(M_bnd, M_vol, eigvals_only=True)[-1]
+    ev = ker.eval_basis(ker.edge_points(params).reshape(len(ker), -1, 2))
+    ev = ev.reshape(len(ker), 3, len(params), 6, 2)
+    M_bnd = np.einsum("tl,q,tlqic,tlqjc->tij", ker.edge_len, we, ev, ev)
+    return np.array([h * scipy.linalg.eigh(B, V, eigvals_only=True)[-1]
+                     for h, B, V in zip(ker.h_K, M_bnd, M_vol)])
 
 
 def test_trace_inequality_constant_stable_under_refinement():
     T = generate("unit_square", 2)
     cs = []
     for _ in range(3):
-        cs.append(max(element_trace_constant(ElementKernel(T, k))
-                      for k in range(T.n_triangles)))
+        cs.append(element_trace_constants(ElementStack(T)).max())
         T = refine_uniform(T)
     assert max(cs) - min(cs) < 1e-8  # structured elements are self-similar
     rng = np.random.default_rng(2)
-    ker = ElementKernel(generate("unit_square", 4), 5)
-    C = element_trace_constant(ker)
+    ker = ElementStack(generate("unit_square", 4), [5])
+    C = element_trace_constants(ker)[0]
     pts, w = tri_rule(4)
-    xy = pts @ ker.verts
+    xy = pts @ ker.verts[0]
     params, we = edge_gauss(3)
     for _ in range(100):
         dofs = rng.standard_normal(6)
-        vol = ker.area * np.dot(w, (np.einsum("qjc,j->qc", ker.eval_basis(xy), dofs) ** 2).sum(axis=1))
+        vals = np.einsum("qjc,j->qc", basis(ker, xy), dofs)
+        vol = ker.area[0] * np.dot(w, (vals ** 2).sum(axis=1))
         bnd = 0.0
         for loc in range(3):
-            ev = np.einsum("qjc,j->qc", ker.eval_basis(ker.edge_points(loc, params)), dofs)
-            bnd += ker.edge_len[loc] * np.dot(we, (ev ** 2).sum(axis=1))
-        assert ker.h_K * bnd <= C * vol * (1 + 1e-10)
+            ev = np.einsum("qjc,j->qc", basis(ker, ker.edge_points(params)[0, loc]), dofs)
+            bnd += ker.edge_len[0, loc] * np.dot(we, (ev ** 2).sum(axis=1))
+        assert ker.h_K[0] * bnd <= C * vol * (1 + 1e-10)

@@ -181,3 +181,18 @@ def test_eoc_slopes():
     assert np.isclose(verify.eoc([0.3, 0.3], [1.0, 0.5])[1], 0.0)
     assert np.isnan(verify.eoc([0.1, 0.0], [1.0, 0.5])[1])
     assert np.isnan(verify.eoc([0.1, 0.05], [1.0, 0.5])[0])
+
+
+def test_velocity_at_reproduces_linear_interpolant():
+    # BDM1 contains the linear fields, so the interpolant of u = (1 + 2x - y, 3y - x)
+    # evaluates back to u at any point of any triangle
+    from types import SimpleNamespace
+
+    u = lambda x, y: np.stack([1 + 2 * x - y, 3 * y - x], axis=-1)
+    ex = SimpleNamespace(u=u, p=lambda x, y: np.zeros_like(x))
+    T = generate("unit_square", 5)
+    dm = build_dof_map(T, "tvnf")
+    bary = np.random.default_rng(6).dirichlet(np.ones(3), size=4)
+    pts = np.einsum("qb,tbc->tqc", bary, T.vertices[T.triangles])
+    vals = verify.velocity_at(T, dm, verify.interpolate(T, dm, ex), pts)
+    assert np.abs(vals - u(pts[..., 0], pts[..., 1])).max() < 1e-12
