@@ -223,7 +223,10 @@ def run_precond(cfg):
     if cfg["precond"] == "none":
         apply_M, n_parts = None, 0
     else:
-        parts = schwarz.decompose(T, cfg["parts"])
+        try:
+            parts = schwarz.decompose(T, cfg["parts"])
+        except (OSError, ValueError) as err:
+            raise UsageError(f"--parts: {err}") from None
         dec = schwarz.build_decomposition(T, dm, parts, cfg["overlap"])
         n_parts = dec.n_parts
         if cfg["precond"] == "ras":
@@ -249,7 +252,10 @@ def run_precond(cfg):
 
 
 def run_info(cfg):
-    T = mesh.generate(cfg["domain"], cfg["n"])
+    try:
+        T = mesh.generate(cfg["domain"], cfg["n"])
+    except ValueError as err:
+        raise UsageError(str(err)) from None
     dm = build_dof_map(T, cfg["bc"])
     print(f"triangles={T.n_triangles} edges={T.n_edges} dofs={dm.n_total}")
     return T, dm

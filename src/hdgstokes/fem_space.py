@@ -31,18 +31,6 @@ class DofMap:
     constrained: np.ndarray = field(repr=False)  # sorted global indices fixed by the bc
 
     @property
-    def n_bdm(self):
-        return 2 * self.n_edges
-
-    @property
-    def n_mult(self):
-        return self.n_edges
-
-    @property
-    def n_pressure(self):
-        return self.n_tris
-
-    @property
     def n_geometric(self):
         return 3 * self.n_edges + self.n_tris
 
@@ -86,6 +74,6 @@ def dof_locations(T, dm):
     pts = np.empty((dm.n_geometric, 2))
     for m, s in enumerate(BDM_NODES):
         pts[2 * np.arange(dm.n_edges) + m] = (1 - s) * lo + s * hi
-    pts[dm.n_bdm:dm.n_bdm + dm.n_mult] = 0.5 * (lo + hi)
+    pts[2 * dm.n_edges:3 * dm.n_edges] = 0.5 * (lo + hi)
     pts[3 * dm.n_edges:] = T.barycenters()
     return pts

@@ -8,18 +8,20 @@ pressure: barycenters); with at least one overlap layer the indicator of
 a subdomain vanishes at every dof it does not own, which makes
 sum_i R_i^T D_i R_i = Id exact.
 
-MRAS local matrices re-discretise the problem on the overlapped subdomain
-with homogeneous TVNF or NVTF conditions on the interface (the subdomain
-boundary away from Gamma); edges on Gamma keep the global treatment, and
-away from the interface the local rows coincide with R_i A R_i^T. A local
-problem whose entire boundary carries normal-velocity constraints keeps or
-gains a mean-pressure row to pin the floating pressure.
+MRAS local matrices are the global assembly run on fewer elements:
+system.element_triplets over the overlapped subdomain, then
+system.constrained_matrix with more dofs fixed. Interface edges (the
+subdomain boundary away from Gamma) get homogeneous TVNF or NVTF
+conditions, which with hybrid dG fix ordinary edge dofs; edges on Gamma
+keep the global constraints. A local problem whose entire boundary carries
+normal-velocity constraints is pinned by the mean-pressure border row
+restricted to its elements (for a TVNF global system, one extra row past
+the subdomain's dofs).
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fem_space import NVTF, TVNF
 from .krylov import Factorization, FactorizationError
@@ -195,22 +197,15 @@ class SchwarzPreconditioner:
     dofs: list
     weights: list
     factors: list = field(repr=False)
-    augmented: list = field(default=None)
 
     def apply(self, v):
         out = np.zeros(self.n)
-        for i, (dofs, D, F) in enumerate(zip(self.dofs, self.weights, self.factors)):
+        for dofs, D, F in zip(self.dofs, self.weights, self.factors):
             r = v[dofs]
-            if self.augmented and self.augmented[i]:
-                z = F.solve(np.concatenate([r, [0.0]]))[:-1]
-            else:
-                z = F.solve(r)
-            out[dofs] += D * z
+            if F.n > len(dofs):  # local mean-pressure border row
+                r = np.append(r, 0.0)
+            out[dofs] += D * F.solve(r)[:len(dofs)]
         return out
-
-
-def _submatrix(A, dofs):
-    return A[dofs, :][:, dofs].tocsc()
 
 
 def build_ras(A, dec):
@@ -218,7 +213,8 @@ def build_ras(A, dec):
     factors = []
     for i in range(dec.n_parts):
         try:
-            factors.append(Factorization(_submatrix(A, dec.dofs[i])))
+            dofs = dec.dofs[i]
+            factors.append(Factorization(A[dofs, :][:, dofs].tocsc()))
         except FactorizationError as err:
             raise FactorizationError(f"RAS subdomain {i}: {err}") from err
     return SchwarzPreconditioner(kind="ras", n=A.shape[0], dofs=dec.dofs,
@@ -237,18 +233,21 @@ def interface_edges(T, elems):
 
 
 def mras_local_matrix(sysm, T, dec, i, ic):
-    """Local matrix B_i of the MRAS preconditioner; returns (matrix, floating).
+    """Local matrix B_i of the MRAS preconditioner (CSC).
 
-    B_i is assembled from the subdomain's own elements, so interface edges get
-    the single-element rows of a genuine local boundary: the natural flux
-    condition (sigma_nn = 0 for TVNF, sigma_nt = 0 for NVTF) costs nothing and
-    the conjugate velocity trace is eliminated to identity (TVNF: multiplier,
-    NVTF: both BDM dofs). Edges on Gamma keep the global treatment; away from
-    the interface edges the rows coincide with R_i A R_i^T. A floating local
-    problem (every boundary edge normal-constrained, no global mean-pressure
-    row) is augmented with a local mean-pressure row.
+    B_i is the global assembly restricted to the elements of subdomain i, so
+    interface edges get the single-element rows of a genuine local boundary:
+    the natural flux condition (sigma_nn = 0 for TVNF, sigma_nt = 0 for NVTF)
+    costs nothing and the conjugate velocity trace is fixed to zero (TVNF:
+    multiplier, NVTF: both BDM dofs), exactly as the global bc does on Gamma.
+    Edges on Gamma keep the global constraints; away from the interface the
+    rows coincide with R_i A R_i^T. A floating local problem (every boundary
+    edge normal-constrained) is pinned by a mean-pressure border row at local
+    index searchsorted(dofs, n_geometric): the global constraint dof for NVTF,
+    one row past the subdomain's dofs for TVNF. Otherwise an NVTF constraint
+    dof passes through as identity.
     """
-    from .system import element_triplets
+    from .system import constrained_matrix, element_triplets
 
     dm = sysm.dofmap
     dofs = dec.dofs[i]
@@ -260,42 +259,25 @@ def mras_local_matrix(sysm, T, dec, i, ic):
     floating = ((len(gamma) == 0 or dm.bc_kind == NVTF)
                 and (len(iface) == 0 or ic == NVTF))
 
+    if ic == TVNF:
+        fixed = [dm.mult_dof(iface)]
+    else:
+        fixed = [2 * iface, 2 * iface + 1]
+    fixed.append(np.intersect1d(dm.constrained, dofs))
+    pin = np.searchsorted(dofs, dm.n_geometric)
+    border = None
+    if floating:
+        border = (pin, np.searchsorted(dofs, dm.pres_dof(elems)), T.areas[elems])
+    elif dm.bc_kind == NVTF:
+        fixed.append([dm.mean_constraint_dof])
+    fixed = np.searchsorted(dofs, np.concatenate(fixed))
+
     rows, cols, vals = element_triplets(T, dm, sysm.nu, sysm.tau, sysm.eps,
                                         elems=elems)
-    rows = np.searchsorted(dofs, rows)
-    cols = np.searchsorted(dofs, cols)
-    trip = [rows, cols, vals]
-    if dm.bc_kind == NVTF and floating:
-        # keep the restricted global mean-pressure row as the local pin
-        r = np.searchsorted(dofs, dm.mean_constraint_dof)
-        p = np.searchsorted(dofs, 3 * dm.n_edges + np.asarray(elems))
-        trip[0] = np.concatenate([trip[0], np.full(len(elems), r), p])
-        trip[1] = np.concatenate([trip[1], p, np.full(len(elems), r)])
-        trip[2] = np.concatenate([trip[2], T.areas[elems], T.areas[elems]])
-    S = sp.coo_matrix((trip[2], (trip[0], trip[1])), shape=(m, m)).tocsr()
-
-    if ic == TVNF:
-        kill = 2 * dm.n_edges + iface
-    else:
-        kill = np.concatenate([2 * iface, 2 * iface + 1])
-    kill = np.concatenate([kill, np.intersect1d(dm.constrained, dofs)])
-    if dm.bc_kind == NVTF and not floating:
-        # the local pressure is already pinned by a natural flux condition;
-        # the global constraint dof passes through as identity
-        kill = np.concatenate([kill, [dm.mean_constraint_dof]])
-    mask = np.ones(m)
-    mask[np.searchsorted(dofs, kill)] = 0.0
-    S = sp.diags(mask) @ S @ sp.diags(mask) + sp.diags(1.0 - mask)
-
-    if dm.bc_kind == TVNF and floating:
-        # no global mean-pressure row exists: border with a local one
-        r = np.zeros(m)
-        ploc = np.searchsorted(dofs, 3 * dm.n_edges + np.asarray(elems))
-        r[ploc] = T.areas[elems]
-        rr = sp.csr_matrix(r)
-        S = sp.bmat([[S, rr.T], [rr, None]], format="csc")
-        return S.tocsc(), True
-    return S.tocsc(), False
+    S = constrained_matrix(max(m, pin + 1) if floating else m,
+                           np.searchsorted(dofs, rows), np.searchsorted(dofs, cols),
+                           vals, fixed, border)
+    return S.tocsc()
 
 
 def build_mras(sysm, T, dec, ic):
@@ -304,14 +286,11 @@ def build_mras(sysm, T, dec, ic):
     boundary away from Gamma); see mras_local_matrix."""
     if ic not in (TVNF, NVTF):
         raise ValueError(f"unknown interface condition {ic!r}")
-    factors, augmented = [], []
+    factors = []
     for i in range(dec.n_parts):
-        S, floating = mras_local_matrix(sysm, T, dec, i, ic)
         try:
-            factors.append(Factorization(S))
+            factors.append(Factorization(mras_local_matrix(sysm, T, dec, i, ic)))
         except FactorizationError as err:
             raise FactorizationError(f"MRAS-{ic} subdomain {i}: {err}") from err
-        augmented.append(floating)
     return SchwarzPreconditioner(kind=f"mras-{ic}", n=sysm.A.shape[0], dofs=dec.dofs,
-                                 weights=dec.weights, factors=factors,
-                                 augmented=augmented)
+                                 weights=dec.weights, factors=factors)

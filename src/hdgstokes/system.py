@@ -67,23 +67,15 @@ def element_triplets(T, dm, nu, tau, eps, elems=None, rhs=None, f=None):
     return rows.ravel(), cols.ravel(), vals.ravel()
 
 
-def assemble(T, dm, nu=1.0, tau=6.0, eps=-1, f=None, g=None, essential_values=None):
-    """Assemble the hdG Stokes system on T for the bc regime recorded in dm."""
-    E, nT = dm.n_edges, dm.n_tris
+def assemble(T, dm, nu=1.0, tau=6.0, eps=-1, f=None, g=None, constrained_values=None):
+    """Assemble the hdG Stokes system on T for the bc regime recorded in dm.
+
+    constrained_values (aligned with dm.constrained) prescribes nonzero
+    essential values, which are lifted into the right hand side.
+    """
     n = dm.n_total
     rhs = np.zeros(n)
     rows, cols, vals = element_triplets(T, dm, nu, tau, eps, rhs=rhs, f=f)
-    rows, cols, vals = [rows], [cols], [vals]
-
-    if dm.bc_kind == NVTF:
-        r = dm.mean_constraint_dof
-        pdofs = 3 * E + np.arange(nT)
-        rows.append(np.full(nT, r))
-        cols.append(pdofs)
-        vals.append(T.areas)
-        rows.append(pdofs)
-        cols.append(np.full(nT, r))
-        vals.append(T.areas)
 
     if g is not None:
         bnd = np.flatnonzero(T.boundary_edge)
@@ -94,31 +86,46 @@ def assemble(T, dm, nu=1.0, tau=6.0, eps=-1, f=None, g=None, essential_values=No
         else:
             rhs[dm.mult_dof(bnd)] += load
 
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n)).tocsr()
-    A, rhs = _apply_constraints(A, rhs, dm.constrained, essential_values)
-    A.sort_indices()
+    fixed = dm.constrained
+    x_fixed = np.zeros(n)
+    if constrained_values is not None:
+        x_fixed[fixed] = constrained_values
+        rhs -= np.bincount(rows, weights=vals * x_fixed[cols], minlength=n)
+    rhs[fixed] = x_fixed[fixed]
+    border = None
+    if dm.bc_kind == NVTF:
+        border = (dm.mean_constraint_dof, dm.pres_dof(np.arange(dm.n_tris)), T.areas)
+    A = constrained_matrix(n, rows, cols, vals, fixed, border)
     return AssembledSystem(A=A, rhs=rhs, dofmap=dm, nu=nu, tau=tau, eps=eps)
 
 
-def _apply_constraints(A, rhs, constrained, values):
-    n = A.shape[0]
-    if len(constrained) == 0:
-        return A, rhs
-    if values is None:
-        values = np.zeros(len(constrained))
-    else:
-        values = np.asarray(values, dtype=float)
-        if np.any(values != 0):
-            rhs = rhs - A.tocsc()[:, constrained] @ values
-    free = np.ones(n)
-    free[constrained] = 0.0
-    Df = sp.diags(free)
-    Dc = sp.diags(1.0 - free)
-    A = (Df @ A @ Df + Dc).tocsr()
-    rhs[constrained] = values
-    return A, rhs
+def constrained_matrix(n, rows, cols, vals, fixed, border=None):
+    """CSR (n, n) matrix of COO triplets with the dofs in fixed eliminated to
+    identity: triplets in a fixed row or column are dropped and each fixed dof
+    gets a unit diagonal. border = (r, idx, w) adds the symmetric row and
+    column r with weights w at idx (a mean-pressure constraint).
+
+    Entries summing to exactly zero are not stored. Serves the global system
+    and the MRAS local problems (schwarz.mras_local_matrix).
+    """
+    free = np.ones(n, dtype=bool)
+    free[fixed] = False
+    keep = free[rows] & free[cols]
+    diag = np.flatnonzero(~free)
+    extra_rows, extra_cols, extra_vals = [diag], [diag], [np.ones(len(diag))]
+    if border is not None:
+        r, idx, w = border
+        extra_rows += [np.full(len(idx), r), idx]
+        extra_cols += [idx, np.full(len(idx), r)]
+        extra_vals += [w, w]
+    # the unit diagonal and the border follow the triplets and are always kept
+    keep = np.concatenate([keep, np.ones(sum(map(len, extra_rows)), dtype=bool)])
+    rows = np.concatenate([rows, *extra_rows])[keep]
+    cols = np.concatenate([cols, *extra_cols])[keep]
+    vals = np.concatenate([vals, *extra_vals])[keep]
+    A = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    A.eliminate_zeros()
+    return A
 
 
 def manufactured_data(exact, nu, bc):
@@ -142,35 +149,6 @@ def manufactured_data(exact, nu, bc):
     else:
         raise ValueError(f"unknown bc {bc!r}")
     return f, g
-
-
-def essential_values(T, dm, u):
-    """Prescribed values of the constrained dofs for a velocity field u.
-
-    TVNF constrains boundary multipliers to the edge average of u . t_E;
-    NVTF constrains boundary BDM dofs to u . n_E at the two Gauss nodes.
-    Only needed for exact solutions with nonzero boundary traces.
-    """
-    from .quadrature import BDM_NODES, edge_gauss
-
-    vals = np.zeros(len(dm.constrained))
-    pos = {d: i for i, d in enumerate(dm.constrained)}
-    lo = T.vertices[T.edges[:, 0]]
-    hi = T.vertices[T.edges[:, 1]]
-    params, w = edge_gauss(3)
-    for e in np.flatnonzero(T.boundary_edge):
-        d = hi[e] - lo[e]
-        t_E = d / np.linalg.norm(d)
-        n_E = np.array([-t_E[1], t_E[0]])
-        if dm.bc_kind == TVNF:
-            pts = lo[e] + np.outer(params, d)
-            uvals = np.asarray(u(pts[:, 0], pts[:, 1]))
-            vals[pos[dm.mult_dof(e)]] = w @ (uvals @ t_E)
-        else:
-            for m, s in enumerate(BDM_NODES):
-                pt = lo[e] + s * d
-                vals[pos[dm.bdm_dof(e, m)]] = np.asarray(u(pt[0], pt[1])) @ n_E
-    return vals
 
 
 def solve_direct(system):

@@ -107,9 +107,9 @@ def test_criterion_4_polynomial_exactness():
         ex = _linear_case(bc, pressure)
         T = generate("unit_square", 4)
         dm = build_dof_map(T, bc)
-        vals = system_mod.essential_values(T, dm, ex.u)
+        vals = interpolate(T, dm, ex)[dm.constrained]
         sysm = system_mod.assemble(T, dm, nu=1.0, tau=6.0, eps=-1,
-                                   f=ex.f, g=ex.g, essential_values=vals)
+                                   f=ex.f, g=ex.g, constrained_values=vals)
         x = solve_direct(sysm)
         xI = interpolate(T, dm, ex)
         scale = np.linalg.norm(xI)

@@ -113,16 +113,20 @@ PRECOND = ["precond", "--case", "bubble", "--n", "4"]
     (PRECOND + ["--parts", "uniform:2"], None),
     (PRECOND + ["--overlap", "0"], None),
     (["info", "--n", "0"], None),
+    (["info", "--domain", "t_shape", "--n", "3"], None),
+    (PRECOND + ["--parts", "file:MISSING"], None),
+    (PRECOND + ["--parts", "file:CFG"], "0\n1\n"),
     (["converge", "--case", "bubble", "--levels", "0"], None),
     (["converge", "--case", "bubble", "--tau", "-1"], None),
 ], ids=["config-bad-choice", "config-bad-int", "config-unknown-key", "config-missing",
         "parts-uniform-0", "parts-bisect-0", "parts-malformed", "overlap-0", "info-n-0",
-        "levels-0", "tau-negative"])
+        "info-t-shape-odd", "parts-file-missing", "parts-file-short", "levels-0",
+        "tau-negative"])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv, config):
     cfg = tmp_path / "run.cfg"
     if config is not None:
         cfg.write_text(config)
-    argv = [str(cfg) if a == "CFG" else str(tmp_path / "none.cfg") if a == "MISSING" else a
+    argv = [a.replace("CFG", str(cfg)).replace("MISSING", str(tmp_path / "none.cfg"))
             for a in argv]
     assert main(argv) == 1
     err = capsys.readouterr().err

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hdgstokes import NVTF, TVNF, build_dof_map, generate
+from hdgstokes import NVTF, TVNF, Triangulation, build_dof_map, generate
 from hdgstokes import krylov, schwarz, system, verify
 
 
@@ -183,7 +183,7 @@ def test_ras_and_mras_coincide_for_single_subdomain():
     rng = np.random.default_rng(1)
     for ic in (TVNF, NVTF):
         mras = schwarz.build_mras(sysm, T, dec, ic)
-        assert not any(mras.augmented)
+        assert [F.n for F in mras.factors] == [len(d) for d in mras.dofs]
         for _ in range(5):
             v = rng.standard_normal(dm.n_total)
             a, b = ras.apply(v), mras.apply(v)
@@ -208,9 +208,9 @@ def test_mras_local_matrix_differs_only_on_interface_rows():
     dec = schwarz.build_decomposition(T, dm, parts, 1)
     for ic in (TVNF, NVTF):
         i = 0
-        B, floating = schwarz.mras_local_matrix(sysm, T, dec, i, ic)
-        assert not floating
+        B = schwarz.mras_local_matrix(sysm, T, dec, i, ic)
         dofs = dec.dofs[i]
+        assert B.shape == (len(dofs), len(dofs))
         S = sysm.A[dofs, :][:, dofs].tocsc()
         iface, _ = schwarz.interface_edges(T, dec.elems[i])
         iface_dofs = np.concatenate([2 * iface, 2 * iface + 1,
@@ -236,13 +236,39 @@ def test_mras_floating_subdomain_augmented():
     parts = schwarz.decompose(T, "uniform:3x3")
     dec = schwarz.build_decomposition(T, dm, parts, 1)
     pre = schwarz.build_mras(sysm, T, dec, NVTF)
-    assert sum(pre.augmented) == 1
+    augmented = [F.n > len(d) for F, d in zip(pre.factors, pre.dofs)]
+    assert sum(augmented) == 1
     gamma_counts = [len(schwarz.interface_edges(T, dec.elems[i])[1])
                     for i in range(9)]
-    assert pre.augmented[int(np.argmin(gamma_counts))]
+    assert augmented[int(np.argmin(gamma_counts))]
     v = np.ones(dm.n_total)
     out = pre.apply(v)
     assert out.shape == (dm.n_total,) and np.isfinite(out).all()
+
+
+@pytest.mark.parametrize("case,n,spec_", [("bubble", 8, "uniform:2x2"),
+                                          ("bubble", 12, "uniform:3x3"),
+                                          ("curl_trig", 8, "uniform:2x2"),
+                                          ("poiseuille", 12, "uniform:3x3")])
+@pytest.mark.parametrize("l", [1, 2])
+def test_mras_local_matrix_matches_standalone_assembly(case, n, spec_, l):
+    # with ic == bc, every subdomain boundary edge carries the global bc, so
+    # B_i is the global assembly on a mesh made of the subdomain's triangles;
+    # np.unique keeps the vertex order, hence the edge and dof order
+    ex, T, dm, sysm = assembled(case, n)
+    dec = schwarz.build_decomposition(T, dm, schwarz.decompose(T, spec_), l)
+    for i in range(dec.n_parts):
+        tris = T.triangles[dec.elems[i]]
+        verts, local = np.unique(tris, return_inverse=True)
+        Ti = Triangulation(T.vertices[verts], local.reshape(tris.shape))
+        ref = system.assemble(Ti, build_dof_map(Ti, ex.bc), nu=sysm.nu,
+                              tau=sysm.tau, eps=sysm.eps).A
+        B = schwarz.mras_local_matrix(sysm, T, dec, i, ex.bc).tocsr()
+        B.sort_indices()
+        assert B.shape == ref.shape == (len(dec.dofs[i]),) * 2
+        assert np.array_equal(B.indptr, ref.indptr)
+        assert np.array_equal(B.indices, ref.indices)
+        assert np.array_equal(B.data, ref.data)
 
 
 def test_ras_beats_unpreconditioned():

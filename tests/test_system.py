@@ -33,9 +33,9 @@ def linear_exact(bc, pressure):
 def solve_case(exact, n, eps=-1, lifted=False):
     T = generate("unit_square", n)
     dm = build_dof_map(T, exact.bc)
-    vals = system.essential_values(T, dm, exact.u) if lifted else None
+    vals = verify.interpolate(T, dm, exact)[dm.constrained] if lifted else None
     sysm = system.assemble(T, dm, nu=exact.nu, tau=6.0, eps=eps,
-                           f=exact.f, g=exact.g, essential_values=vals)
+                           f=exact.f, g=exact.g, constrained_values=vals)
     return T, dm, sysm, system.solve_direct(sysm)
 
 
