@@ -1,12 +1,14 @@
 """Sparse direct factorisation and right-preconditioned GMRES.
 
 GMRES uses modified Gram-Schmidt Arnoldi with Givens updates of the
-Hessenberg factor. Two stopping rules are supported: the usual relative
-residual, and 'vs_reference' which measures the euclidean norm of the
-error against a direct reference solution at every iteration (the
-preconditioned correction basis is stored, so reconstructing the iterate
-costs no extra preconditioner applications). Full GMRES by default; an
-optional restart length is available.
+Hessenberg factor. The Arnoldi basis V and the preconditioned basis Z
+store one vector per contiguous row, zero-allocated, so only the rows a
+cycle uses become resident. Two stopping rules are supported: the usual
+relative residual, where the iterate is formed once when a cycle ends,
+and 'vs_reference', which measures the euclidean norm of the error
+against a direct reference solution at every iteration (x_k = x + y Z is
+rebuilt from the stored Z, so it costs no preconditioner applications).
+Full GMRES by default; an optional restart length is available.
 """
 
 from dataclasses import dataclass, field
@@ -14,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import solve_triangular
 
 
 class FactorizationError(Exception):
@@ -70,7 +73,7 @@ def gmres(apply_A, b, x0=None, apply_M=None, tol=1e-6, x_ref=None,
     ref_scale = 1.0 if x_ref is not None else (bnorm if bnorm > 0 else 1.0)
 
     history = []
-    basis_cols = [] if keep_basis else None
+    blocks = [] if keep_basis else None
     total = 0
     converged = False
 
@@ -84,26 +87,26 @@ def gmres(apply_A, b, x0=None, apply_M=None, tol=1e-6, x_ref=None,
             converged = val <= tol * ref_scale
             break
         m = max_iter - total if restart is None else min(restart, max_iter - total)
-        V = np.zeros((n, m + 1))
-        Z = np.zeros((n, m))          # preconditioned basis, x_k = x + Z y
+        V = np.zeros((m + 1, n))      # rows: Arnoldi basis
+        Z = np.zeros((m, n))          # rows: preconditioned basis, x_k = x + y Z
         H = np.zeros((m + 1, m))
         cs, sn = np.zeros(m), np.zeros(m)
         g = np.zeros(m + 1)
         g[0] = beta
-        V[:, 0] = r / beta
+        V[0] = r / beta
+        iterate = lambda k: x + solve_triangular(H[:k, :k], g[:k]) @ Z[:k]
 
-        j = 0
-        while j < m:
-            Z[:, j] = apply_M(V[:, j])
+        for j in range(m):
+            Z[j] = apply_M(V[j])
             # copy: apply_A may return its argument (identity operators)
-            w = np.array(apply_A(Z[:, j]), dtype=float, copy=True)
+            w = np.array(apply_A(Z[j]), dtype=float, copy=True)
             for i in range(j + 1):
-                H[i, j] = w @ V[:, i]
-                w -= H[i, j] * V[:, i]
+                H[i, j] = h = w @ V[i]
+                w -= h * V[i]
             H[j + 1, j] = np.linalg.norm(w)
             breakdown = H[j + 1, j] <= 1e-14 * beta
             if not breakdown:
-                V[:, j + 1] = w / H[j + 1, j]
+                V[j + 1] = w / H[j + 1, j]
 
             for i in range(j):
                 h0 = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
@@ -116,27 +119,21 @@ def gmres(apply_A, b, x0=None, apply_M=None, tol=1e-6, x_ref=None,
             g[j + 1] = -sn[j] * g[j]
             g[j] = cs[j] * g[j]
 
-            y = np.linalg.solve(np.triu(H[:j + 1, :j + 1]), g[:j + 1])
-            xk = x + Z[:, :j + 1] @ y
-            if x_ref is not None:
-                val = np.linalg.norm(xk - x_ref)
-            else:
+            if x_ref is None:
                 val = abs(g[j + 1])
+            else:
+                xk = iterate(j + 1)
+                val = np.linalg.norm(xk - x_ref)
             history.append(val)
             total += 1
-            j += 1
-            if val <= tol * ref_scale or breakdown or total >= max_iter:
-                x = xk
-                converged = val <= tol * ref_scale
-                if keep_basis:
-                    basis_cols.append(V[:, :j])
+            converged = val <= tol * ref_scale
+            if converged or breakdown or total >= max_iter:
                 break
-        else:
-            x = xk
-            if keep_basis:
-                basis_cols.append(V[:, :j])
+        x = iterate(j + 1) if x_ref is None else xk
+        if keep_basis:
+            blocks.append(V[:j + 1].T)
 
-    basis = np.hstack(basis_cols) if keep_basis and basis_cols else None
+    basis = np.hstack(blocks) if blocks else None
     return x, KrylovReport(iterations=total, history=np.array(history),
                            converged=converged, stop=stop, basis=basis)
 

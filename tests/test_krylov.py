@@ -140,3 +140,64 @@ def test_history_csv(tmp_path):
     assert "seed=42" in lines[0]
     assert lines[1] == "iter,value"
     assert len(lines) == 2 + rep.iterations
+
+
+def _dense_problem(seed=23, n=40):
+    """Diagonally dominant M, a dense preconditioner near M's inverse diagonal,
+    a right-hand side, a nonzero initial guess and the reference solution."""
+    rng = np.random.default_rng(seed)
+    M = rng.uniform(-1, 1, size=(n, n)) + np.diag(rng.uniform(20, 40, n))
+    P = np.diag(1 / np.diag(M)) + 2e-3 * rng.uniform(-1, 1, size=(n, n))
+    b = rng.standard_normal(n)
+    x0 = rng.standard_normal(n)
+    return M, P, b, x0, np.linalg.solve(M, b)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_gmres_matches_dense_minimal_residual_oracle(k):
+    # x_k minimises ||b - M x|| over x0 + P K_k(M P, r0); the oracle builds
+    # the explicit Krylov block, orthonormalises it by QR and solves lstsq
+    M, P, b, x0, x_ref = _dense_problem()
+    C, r0 = M @ P, b - M @ x0
+    K = np.empty((len(b), k))
+    K[:, 0] = r0
+    for j in range(1, k):
+        K[:, j] = C @ K[:, j - 1]
+    Q, _ = np.linalg.qr(K)
+    c = np.linalg.lstsq(C @ Q, r0, rcond=None)[0]
+    x_oracle = x0 + P @ (Q @ c)
+    for ref in (None, x_ref):
+        x, rep = gmres(lambda v: M @ v, b, x0=x0, apply_M=lambda v: P @ v,
+                       tol=0.0, x_ref=ref, max_iter=k)
+        assert rep.iterations == k and not rep.converged
+        assert np.linalg.norm(x - x_oracle) <= 1e-10 * np.linalg.norm(x_oracle)
+    # vs_reference: the last history entry is the true error of the returned x
+    assert rep.history[k - 1] == pytest.approx(np.linalg.norm(x - x_ref), rel=1e-12)
+
+
+@pytest.mark.parametrize("kw", [dict(tol=1e-5, max_iter=100),
+                                dict(tol=0.0, max_iter=4),
+                                dict(tol=1e-6, max_iter=200, restart=5)],
+                         ids=["converged", "max_iter", "restart"])
+def test_gmres_residual_mode_iterate_matches_history(kw):
+    # residual mode forms x once per cycle; its true residual must be the
+    # Givens estimate recorded for the last iteration
+    M, P, b, x0, _ = _dense_problem(seed=29)
+    x, rep = gmres(lambda v: M @ v, b, x0=x0, apply_M=lambda v: P @ v, **kw)
+    assert rep.converged == (kw["tol"] > 0)
+    assert rep.iterations > kw.get("restart", 0)
+    assert abs(np.linalg.norm(b - M @ x) / rep.history[-1] - 1) <= 1e-8
+
+
+def test_gmres_restart_basis_blocks_orthonormal():
+    rng = np.random.default_rng(31)
+    n = 40
+    M = rng.uniform(-1, 1, size=(n, n)) + np.diag(4.0 * np.ones(n))
+    b, x0 = rng.standard_normal(n), rng.standard_normal(n)
+    _, rep = gmres(lambda v: M @ v, b, x0=x0, tol=1e-10, max_iter=200, restart=5,
+                   keep_basis=True)
+    assert rep.converged and rep.iterations > 5
+    assert rep.basis.shape == (n, rep.iterations)
+    for s in range(0, rep.iterations, 5):
+        B = rep.basis[:, s:s + 5]
+        assert np.abs(B.T @ B - np.eye(B.shape[1])).max() <= 1e-10
