@@ -66,14 +66,19 @@ def build_dof_map(T, bc):
                   constrained=constrained.astype(np.int64))
 
 
-def dof_locations(T, dm):
-    """Physical point of each geometric dof (BDM: edge Gauss nodes, multiplier:
-    edge midpoints, pressure: barycenters). The NVTF constraint row has none."""
-    lo = T.vertices[T.edges[:, 0]]
-    hi = T.vertices[T.edges[:, 1]]
-    pts = np.empty((dm.n_geometric, 2))
+def vertex_field_at_dofs(T, dm, f):
+    """Values of the piecewise-linear field with vertex values f (nv, ...) at
+    every geometric dof location (BDM: edge Gauss nodes, multiplier: edge
+    midpoints, pressure: barycenters). The NVTF constraint row has none."""
+    lo, hi = f[T.edges[:, 0]], f[T.edges[:, 1]]
+    out = np.empty((dm.n_geometric,) + f.shape[1:])
     for m, s in enumerate(BDM_NODES):
-        pts[2 * np.arange(dm.n_edges) + m] = (1 - s) * lo + s * hi
-    pts[2 * dm.n_edges:3 * dm.n_edges] = 0.5 * (lo + hi)
-    pts[3 * dm.n_edges:] = T.barycenters()
-    return pts
+        out[m:2 * dm.n_edges:2] = (1 - s) * lo + s * hi
+    out[2 * dm.n_edges:3 * dm.n_edges] = 0.5 * (lo + hi)
+    out[3 * dm.n_edges:] = f[T.triangles].mean(axis=1)
+    return out
+
+
+def dof_locations(T, dm):
+    """Physical point of each geometric dof (see vertex_field_at_dofs)."""
+    return vertex_field_at_dofs(T, dm, T.vertices)

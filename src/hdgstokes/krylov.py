@@ -1,14 +1,14 @@
 """Sparse direct factorisation and right-preconditioned GMRES.
 
-GMRES uses modified Gram-Schmidt Arnoldi with Givens updates of the
-Hessenberg factor. The Arnoldi basis V and the preconditioned basis Z
-store one vector per contiguous row, zero-allocated, so only the rows a
-cycle uses become resident. Two stopping rules are supported: the usual
-relative residual, where the iterate is formed once when a cycle ends,
-and 'vs_reference', which measures the euclidean norm of the error
-against a direct reference solution at every iteration (x_k = x + y Z is
-rebuilt from the stored Z, so it costs no preconditioner applications).
-Full GMRES by default; an optional restart length is available.
+Full GMRES: one Arnoldi cycle of at most max_iter steps, modified
+Gram-Schmidt with Givens updates of the Hessenberg factor. The Arnoldi
+basis V and the preconditioned basis Z store one vector per contiguous
+row, zero-allocated, so only the rows used become resident; the report
+carries the Arnoldi basis. Two stopping rules are supported: the usual
+relative residual, where the iterate is formed once at the end, and
+'vs_reference', which measures the euclidean norm of the error against a
+direct reference solution at every iteration (x_k = x + y Z is rebuilt
+from the stored Z, so it costs no preconditioner applications).
 """
 
 from dataclasses import dataclass, field
@@ -50,19 +50,22 @@ class KrylovReport:
     history: np.ndarray
     converged: bool
     stop: tuple  # ("residual", tol) or ("vs_reference", tol)
-    basis: np.ndarray | None = field(default=None, repr=False)
+    basis: np.ndarray = field(repr=False)  # Arnoldi basis, (n, iterations) view
 
 
-def gmres(apply_A, b, x0=None, apply_M=None, tol=1e-6, x_ref=None,
-          max_iter=1000, restart=None, keep_basis=False):
-    """Right-preconditioned GMRES.
+def gmres(apply_A, b, x0=None, apply_M=None, tol=1e-6, x_ref=None, max_iter=1000):
+    """Full right-preconditioned GMRES.
 
     apply_A, apply_M: callables v -> A v and v -> M^{-1} v (M defaults to
     the identity). If x_ref is given the iteration stops when
-    ||x_k - x_ref||_2 <= tol, otherwise when ||b - A x_k|| <= tol ||b||.
-    Returns (x, KrylovReport); report.history holds the stop-criterion
-    value at every iteration.
+    ||x_k - x_ref||_2 <= tol, otherwise when ||b - A x_k|| <= tol ||b||,
+    or after max_iter (>= 1) steps, or on breakdown (the Krylov space is
+    invariant). Returns (x, KrylovReport); report.history holds the
+    stop-criterion value at every iteration. An exact x0 counts as one
+    iteration with an empty basis.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
@@ -72,78 +75,67 @@ def gmres(apply_A, b, x0=None, apply_M=None, tol=1e-6, x_ref=None,
     bnorm = np.linalg.norm(b)
     ref_scale = 1.0 if x_ref is not None else (bnorm if bnorm > 0 else 1.0)
 
+    r = b - apply_A(x)
+    beta = np.linalg.norm(r)
+    if beta == 0.0:
+        val = 0.0 if x_ref is None else np.linalg.norm(x - x_ref)
+        return x, KrylovReport(iterations=1, history=np.array([val]),
+                               converged=val <= tol * ref_scale, stop=stop,
+                               basis=np.zeros((n, 0)))
+    m = max_iter
+    V = np.zeros((m + 1, n))      # rows: Arnoldi basis
+    Z = np.zeros((m, n))          # rows: preconditioned basis, x_k = x + y Z
+    H = np.zeros((m + 1, m))
+    cs, sn = np.zeros(m), np.zeros(m)
+    g = np.zeros(m + 1)
+    g[0] = beta
+    V[0] = r / beta
+    iterate = lambda k: x + solve_triangular(H[:k, :k], g[:k]) @ Z[:k]
+
     history = []
-    blocks = [] if keep_basis else None
-    total = 0
-    converged = False
+    for j in range(m):
+        Z[j] = apply_M(V[j])
+        # copy: apply_A may return its argument (identity operators)
+        w = np.array(apply_A(Z[j]), dtype=float, copy=True)
+        for i in range(j + 1):
+            H[i, j] = h = w @ V[i]
+            w -= h * V[i]
+        H[j + 1, j] = np.linalg.norm(w)
+        breakdown = H[j + 1, j] <= 1e-14 * beta
+        if not breakdown:
+            V[j + 1] = w / H[j + 1, j]
 
-    while total < max_iter and not converged:
-        r = b - apply_A(x)
-        beta = np.linalg.norm(r)
-        if beta == 0.0:
-            val = 0.0 if x_ref is None else np.linalg.norm(x - x_ref)
-            history.append(val)
-            total += 1
-            converged = val <= tol * ref_scale
+        for i in range(j):
+            h0 = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
+            H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
+            H[i, j] = h0
+        nu_ = np.hypot(H[j, j], H[j + 1, j])
+        cs[j], sn[j] = H[j, j] / nu_, H[j + 1, j] / nu_
+        H[j, j] = nu_
+        H[j + 1, j] = 0.0
+        g[j + 1] = -sn[j] * g[j]
+        g[j] = cs[j] * g[j]
+
+        if x_ref is None:
+            val = abs(g[j + 1])
+        else:
+            xk = iterate(j + 1)
+            val = np.linalg.norm(xk - x_ref)
+        history.append(val)
+        converged = val <= tol * ref_scale
+        if converged or breakdown:
             break
-        m = max_iter - total if restart is None else min(restart, max_iter - total)
-        V = np.zeros((m + 1, n))      # rows: Arnoldi basis
-        Z = np.zeros((m, n))          # rows: preconditioned basis, x_k = x + y Z
-        H = np.zeros((m + 1, m))
-        cs, sn = np.zeros(m), np.zeros(m)
-        g = np.zeros(m + 1)
-        g[0] = beta
-        V[0] = r / beta
-        iterate = lambda k: x + solve_triangular(H[:k, :k], g[:k]) @ Z[:k]
-
-        for j in range(m):
-            Z[j] = apply_M(V[j])
-            # copy: apply_A may return its argument (identity operators)
-            w = np.array(apply_A(Z[j]), dtype=float, copy=True)
-            for i in range(j + 1):
-                H[i, j] = h = w @ V[i]
-                w -= h * V[i]
-            H[j + 1, j] = np.linalg.norm(w)
-            breakdown = H[j + 1, j] <= 1e-14 * beta
-            if not breakdown:
-                V[j + 1] = w / H[j + 1, j]
-
-            for i in range(j):
-                h0 = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
-                H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
-                H[i, j] = h0
-            nu_ = np.hypot(H[j, j], H[j + 1, j])
-            cs[j], sn[j] = H[j, j] / nu_, H[j + 1, j] / nu_
-            H[j, j] = nu_
-            H[j + 1, j] = 0.0
-            g[j + 1] = -sn[j] * g[j]
-            g[j] = cs[j] * g[j]
-
-            if x_ref is None:
-                val = abs(g[j + 1])
-            else:
-                xk = iterate(j + 1)
-                val = np.linalg.norm(xk - x_ref)
-            history.append(val)
-            total += 1
-            converged = val <= tol * ref_scale
-            if converged or breakdown or total >= max_iter:
-                break
-        x = iterate(j + 1) if x_ref is None else xk
-        if keep_basis:
-            blocks.append(V[:j + 1].T)
-
-    basis = np.hstack(blocks) if blocks else None
-    return x, KrylovReport(iterations=total, history=np.array(history),
-                           converged=converged, stop=stop, basis=basis)
+    k = j + 1
+    x = iterate(k) if x_ref is None else xk
+    return x, KrylovReport(iterations=k, history=np.array(history),
+                           converged=converged, stop=stop, basis=V[:k].T)
 
 
-def write_history_csv(report, path, seed=None, extra=""):
+def write_history_csv(report, path, seed=None):
     """History CSV: 'iter,value' rows, header comment with stop mode/tol/seed."""
     mode, tol = report.stop
     with open(path, "w") as f:
-        f.write(f"# stop={mode} tol={tol!r} seed={seed}"
-                + (f" {extra}" if extra else "") + "\n")
+        f.write(f"# stop={mode} tol={tol!r} seed={seed}\n")
         f.write("iter,value\n")
         for i, v in enumerate(report.history, start=1):
             f.write(f"{i},{float(v)!r}\n")

@@ -23,9 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fem_space import NVTF, TVNF
+from .fem_space import NVTF, TVNF, vertex_field_at_dofs
 from .krylov import Factorization, FactorizationError
-from .quadrature import BDM_NODES
 
 
 @dataclass
@@ -162,23 +161,15 @@ def subdomain_dofs(T, dm, elems):
 
 def partition_of_unity(dec, T, dm):
     """Fill dec.dofs and dec.weights; the weights of each dof sum to 1."""
-    n = dm.n_total
-    E = dm.n_edges
     dec.dofs = [subdomain_dofs(T, dm, dec.elems[i]) for i in range(dec.n_parts)]
 
-    lo, hi = T.edges[:, 0], T.edges[:, 1]
     raw = []
-    denom = np.zeros(n)
+    denom = np.zeros(dm.n_total)
     for i in range(dec.n_parts):
         flag = np.zeros(T.n_vertices)
         flag[T.triangles[dec.elems0[i]].ravel()] = 1.0
-        vals = np.zeros(n)
-        for m, s in enumerate(BDM_NODES):
-            vals[2 * np.arange(E) + m] = (1 - s) * flag[lo] + s * flag[hi]
-        vals[2 * E:3 * E] = 0.5 * (flag[lo] + flag[hi])
-        vals[3 * E:3 * E + dm.n_tris] = flag[T.triangles].mean(axis=1)
-        if dm.bc_kind == NVTF:
-            vals[dm.mean_constraint_dof] = 1.0
+        vals = np.ones(dm.n_total)  # the NVTF constraint dof keeps indicator 1
+        vals[:dm.n_geometric] = vertex_field_at_dofs(T, dm, flag)
         v_i = vals[dec.dofs[i]]
         raw.append(v_i)
         np.add.at(denom, dec.dofs[i], v_i)
@@ -192,14 +183,12 @@ def build_decomposition(T, dm, parts, l):
 
 @dataclass
 class SchwarzPreconditioner:
-    kind: str
-    n: int
     dofs: list
     weights: list
     factors: list = field(repr=False)
 
     def apply(self, v):
-        out = np.zeros(self.n)
+        out = np.zeros(len(v))
         for dofs, D, F in zip(self.dofs, self.weights, self.factors):
             r = v[dofs]
             if F.n > len(dofs):  # local mean-pressure border row
@@ -217,8 +206,7 @@ def build_ras(A, dec):
             factors.append(Factorization(A[dofs, :][:, dofs].tocsc()))
         except FactorizationError as err:
             raise FactorizationError(f"RAS subdomain {i}: {err}") from err
-    return SchwarzPreconditioner(kind="ras", n=A.shape[0], dofs=dec.dofs,
-                                 weights=dec.weights, factors=factors)
+    return SchwarzPreconditioner(dofs=dec.dofs, weights=dec.weights, factors=factors)
 
 
 def interface_edges(T, elems):
@@ -292,5 +280,4 @@ def build_mras(sysm, T, dec, ic):
             factors.append(Factorization(mras_local_matrix(sysm, T, dec, i, ic)))
         except FactorizationError as err:
             raise FactorizationError(f"MRAS-{ic} subdomain {i}: {err}") from err
-    return SchwarzPreconditioner(kind=f"mras-{ic}", n=sysm.A.shape[0], dofs=dec.dofs,
-                                 weights=dec.weights, factors=factors)
+    return SchwarzPreconditioner(dofs=dec.dofs, weights=dec.weights, factors=factors)

@@ -27,14 +27,6 @@ class AssembledSystem:
     tau: float
     eps: int
 
-    @property
-    def bc(self):
-        return self.dofmap.bc_kind
-
-    @property
-    def n(self):
-        return self.dofmap.n_total
-
 
 def element_dofs(dm, edge_ids, tris):
     """Global indices of the 9 velocity/multiplier dofs (ne, 9) and the pressure

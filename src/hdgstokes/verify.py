@@ -189,7 +189,6 @@ class ErrorReport:
     err_l2_u: float
     err_l2_p: float
     max_div: float
-    norm_u: float
 
 
 def error_norms(T, dm, x, exact, tau=6.0):
@@ -211,7 +210,6 @@ def error_norms(T, dm, x, exact, tau=6.0):
     l2u_sq = (T.areas * np.einsum("q,tqc->t", wv, udiff ** 2)).sum()
     pdiff = np.asarray(exact.p(xq, yq)) - pres[:, None]
     l2p_sq = (T.areas * np.einsum("q,tq->t", wv, pdiff ** 2)).sum()
-    unorm_sq = (T.areas * np.einsum("q,tqc->t", wv, uh ** 2)).sum()
 
     params, we = edge_gauss(4)
     edge_pts = ker.edge_points(params)
@@ -235,8 +233,7 @@ def error_norms(T, dm, x, exact, tau=6.0):
                        err_h=float(err_energy + err_l2_p / np.sqrt(nu)),
                        err_l2_u=float(np.sqrt(l2u_sq)),
                        err_l2_p=float(err_l2_p),
-                       max_div=float(np.abs(div).max()),
-                       norm_u=float(np.sqrt(unorm_sq)))
+                       max_div=float(np.abs(div).max()))
 
 
 def energy_norm(T, dm, x, nu=1.0, tau=6.0, parts=False):

@@ -254,7 +254,7 @@ def test_criterion_9_property_suites():
     n = 150
     M = rng.uniform(-1, 1, size=(n, n)) + np.diag(2.0 * np.ones(n))
     _, rep = gmres(lambda v: M @ v, rng.standard_normal(n), tol=1e-13,
-                   max_iter=140, keep_basis=True)
+                   max_iter=140)
     G = rep.basis.T @ rep.basis
     orth = np.abs(G - np.eye(G.shape[0])).max()
     checks.append(("Arnoldi orthogonality", orth <= 1e-10, f"{orth:.1e}"))
