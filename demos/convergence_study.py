@@ -19,13 +19,14 @@ def study(case, eps, n0, levels):
     exact = catalogue(case)
     T = generate("unit_square", n0)
     reports = []
-    for _ in range(levels):
+    for level in range(levels):
+        if level:
+            T = refine_uniform(T)
         dm = build_dof_map(T, exact.bc)
         sysm = system.assemble(T, dm, nu=exact.nu, tau=6.0, eps=eps,
                                f=exact.f, g=exact.g)
         x = solve_direct(sysm)
         reports.append(error_norms(T, dm, x, exact))
-        T = refine_uniform(T)
     return reports
 
 

@@ -191,13 +191,14 @@ def run_converge(cfg):
     exact = verify.catalogue(cfg["case"], nu=cfg["nu"])
     T = mesh.generate("unit_square", cfg["n0"])
     reports = []
-    for _ in range(cfg["levels"]):
+    for level in range(cfg["levels"]):
+        if level:
+            T = mesh.refine_uniform(T)
         dm = build_dof_map(T, cfg["bc"])
         sysm = system.assemble(T, dm, nu=cfg["nu"], tau=cfg["tau"], eps=cfg["eps"],
                                f=exact.f, g=exact.g)
         x = system.solve_direct(sysm)
         reports.append(verify.error_norms(T, dm, x, exact, tau=cfg["tau"]))
-        T = mesh.refine_uniform(T)
     hs = [r.h for r in reports]
     eoc_e = verify.eoc([r.err_energy for r in reports], hs)
     eoc_u = verify.eoc([r.err_l2_u for r in reports], hs)

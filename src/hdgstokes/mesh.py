@@ -49,8 +49,11 @@ class Triangulation:
         # local edge k runs from vertex k to vertex k+1 (mod 3)
         a = np.column_stack([t[:, 0], t[:, 1], t[:, 2]]).reshape(-1)
         b = np.column_stack([t[:, 1], t[:, 2], t[:, 0]]).reshape(-1)
-        pairs = np.sort(np.column_stack([a, b]), axis=1)
-        self.edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
+        # one key per (lo, hi) pair; sorted keys keep the edges lexicographic
+        nv = len(self.vertices)
+        keys, inverse = np.unique(np.minimum(a, b) * nv + np.maximum(a, b),
+                                  return_inverse=True)
+        self.edges = np.column_stack([keys // nv, keys % nv])
         self.tri_edges = inverse.reshape(nt, 3).astype(np.int64)
         # traversal a->b against the (lo, hi) convention fixes the sign
         self.tri_edge_sign = np.where(a > b, 1, -1).reshape(nt, 3).astype(np.int64)

@@ -70,10 +70,19 @@ def decompose(T, strategy):
     strategy = parse_strategy(strategy)
     kind = strategy[0]
     if kind == "uniform":
-        return partition_uniform(T, strategy[1], strategy[2])
+        px, py = strategy[1:]
+        return _require_nonempty(partition_uniform(T, px, py), px * py)
     if kind == "bisect":
-        return partition_bisect(T, strategy[1])
+        return _require_nonempty(partition_bisect(T, strategy[1]), strategy[1])
     return partition_from_file(T, strategy[1])
+
+
+def _require_nonempty(parts, n_parts):
+    """parts, after checking that each of the ids 0..n_parts-1 occurs."""
+    empty = np.count_nonzero(np.bincount(parts, minlength=n_parts) == 0)
+    if empty:
+        raise ValueError(f"partition leaves {empty} of {n_parts} parts empty")
+    return parts
 
 
 def partition_uniform(T, px, py):
@@ -92,7 +101,7 @@ def partition_bisect(T, n_parts):
     parts = np.zeros(T.n_triangles, dtype=np.int64)
 
     def split(idx, n, offset):
-        if n == 1:
+        if n == 1 or len(idx) == 0:  # no triangles left: parts stay empty
             parts[idx] = offset
             return
         n1 = n // 2
@@ -113,10 +122,7 @@ def partition_from_file(T, path):
     if len(parts) != T.n_triangles:
         raise ValueError(f"partition file has {len(parts)} entries, "
                          f"mesh has {T.n_triangles} triangles")
-    counts = np.bincount(parts, minlength=parts.max() + 1)
-    if np.any(counts == 0):
-        raise ValueError("partition file leaves a part empty")
-    return parts
+    return _require_nonempty(parts, parts.max() + 1)
 
 
 def _vertex_tri_incidence(T):

@@ -144,10 +144,11 @@ def manufactured_data(exact, nu, bc):
 
 
 def solve_direct(system):
-    """Reference solve through a sparse LU factorisation."""
+    """Reference solve: sparse LU of a regularised copy of A, refined against A
+    (krylov.Factorization with refine=True)."""
     from .krylov import Factorization
 
-    return Factorization(system.A).solve(system.rhs)
+    return Factorization(system.A, refine=True).solve(system.rhs)
 
 
 def dump_matrix(system, path):

@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from hdgstokes import mesh
 from hdgstokes.cli import main
 
 
@@ -27,6 +30,15 @@ def test_converge_csv(tmp_path):
     assert len(lines) == 4
     last = lines[3].split(",")
     assert 0.5 < float(last[5]) < 1.6  # energy order heading to 1
+
+
+def test_converge_refines_only_between_levels(monkeypatch):
+    calls = []
+    refine = mesh.refine_uniform
+    monkeypatch.setattr(mesh, "refine_uniform", lambda T: calls.append(1) or refine(T))
+    assert main(["converge", "--case", "bubble", "--n0", "2", "--levels", "3",
+                 "--out", os.devnull]) == 0
+    assert len(calls) == 2
 
 
 def test_converge_rejects_bad_pairing(capsys):
@@ -111,6 +123,8 @@ PRECOND = ["precond", "--case", "bubble", "--n", "4"]
     (PRECOND + ["--parts", "uniform:0x2"], None),
     (PRECOND + ["--parts", "bisect:0"], None),
     (PRECOND + ["--parts", "uniform:2"], None),
+    (["precond", "--case", "bubble", "--n", "2", "--parts", "uniform:8x8"], None),
+    (PRECOND + ["--parts", "bisect:40"], None),
     (PRECOND + ["--overlap", "0"], None),
     (["info", "--n", "0"], None),
     (["info", "--domain", "t_shape", "--n", "3"], None),
@@ -119,7 +133,8 @@ PRECOND = ["precond", "--case", "bubble", "--n", "4"]
     (["converge", "--case", "bubble", "--levels", "0"], None),
     (["converge", "--case", "bubble", "--tau", "-1"], None),
 ], ids=["config-bad-choice", "config-bad-int", "config-unknown-key", "config-missing",
-        "parts-uniform-0", "parts-bisect-0", "parts-malformed", "overlap-0", "info-n-0",
+        "parts-uniform-0", "parts-bisect-0", "parts-malformed", "parts-uniform-empty",
+        "parts-bisect-empty", "overlap-0", "info-n-0",
         "info-t-shape-odd", "parts-file-missing", "parts-file-short", "levels-0",
         "tau-negative"])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv, config):

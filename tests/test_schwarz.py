@@ -68,6 +68,13 @@ def test_partition_file_empty_part(tmp_path):
         schwarz.partition_from_file(T, path)
 
 
+@pytest.mark.parametrize("n,spec,msg", [(2, "uniform:8x8", "56 of 64"),
+                                        (4, "bisect:40", "8 of 40")])
+def test_decompose_rejects_empty_parts(n, spec, msg):
+    with pytest.raises(ValueError, match=f"partition leaves {msg} parts empty"):
+        schwarz.decompose(generate("unit_square", n), spec)
+
+
 # --- overlap ---------------------------------------------------------------
 
 def test_overlap_requires_l_geq_1():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 import scipy.io
+import scipy.sparse as sp
 
 from hdgstokes import NVTF, TVNF, build_dof_map, generate, refine_uniform
 from hdgstokes import system, verify
+from hdgstokes.krylov import Factorization, FactorizationError
 from hdgstokes.verify import ExactSolution
 
 
@@ -181,3 +183,48 @@ def test_matrix_market_dump(tmp_path):
     assert header == "%%MatrixMarket matrix coordinate real general"
     B = scipy.io.mmread(path).tocsr()
     assert np.abs((B - sysm.A).data).max() if (B - sysm.A).nnz else 0.0 < 1e-15
+
+
+# --- reference solve: regularised symmetric-order factor plus refinement ----
+
+REFERENCE_CASES = [(TVNF, "curl_trig"), (NVTF, "bubble")]
+
+
+def reference_system(bc, case, n, eps=-1):
+    ex = verify.catalogue(case)
+    T = generate("unit_square", n)
+    return system.assemble(T, build_dof_map(T, bc), eps=eps, f=ex.f, g=ex.g)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("eps", [-1, 1])
+@pytest.mark.parametrize("bc,case", REFERENCE_CASES)
+def test_reference_solve_matches_partial_pivot_oracle(bc, case, eps, n):
+    # oracle: SuperLU with column ordering and partial pivoting on A itself
+    sysm = reference_system(bc, case, n, eps)
+    x = system.solve_direct(sysm)
+    x_pp = Factorization(sysm.A).solve(sysm.rhs)
+    residual = lambda y: np.linalg.norm(sysm.A @ y - sysm.rhs)
+    assert residual(x) <= residual(x_pp)
+    assert np.linalg.norm(x - x_pp) <= 1e-10 * np.linalg.norm(x_pp)
+
+
+@pytest.mark.parametrize("bc,case", REFERENCE_CASES)
+def test_reference_factor_fill_below_partial_pivot(bc, case):
+    A = reference_system(bc, case, 16).A
+    assert Factorization(A, refine=True)._lu.nnz < 0.6 * Factorization(A)._lu.nnz
+
+
+def test_refinement_guard_rejects_singular_saddle_point():
+    # the NVTF border replaced by an identity row leaves the constant pressure
+    # in the kernel: the shifted copy factors, but refinement cannot converge
+    sysm = reference_system(NVTF, "bubble", 8)
+    A, r = sysm.A, sysm.dofmap.mean_constraint_dof
+    n = A.shape[0]
+    keep = np.ones(n)
+    keep[r] = 0.0
+    A = sp.diags(keep) @ A @ sp.diags(keep) + sp.coo_matrix(([1.0], ([r], [r])), shape=(n, n))
+    F = Factorization(A, refine=True)
+    b = np.random.default_rng(0).standard_normal(n)
+    with pytest.raises(FactorizationError, match="refinement"):
+        F.solve(b)
