@@ -5,12 +5,18 @@ Gauss nodes of the edge (n_E the global edge normal). Multiplier: one
 scalar per edge, the tangential trace along the global lower->higher
 tangent. Pressure: one constant per triangle. Block layout:
 
-    BDM dofs        [0, 2E)       bdm_dof(e, m) = 2e + m
-    multiplier dofs [2E, 3E)      mult_dof(e)   = 2E + e
-    pressure dofs   [3E, 3E + T)  pres_dof(t)   = 3E + t
+    BDM dofs        [0, 2E)       edge_dofs(E, e)[m] = 2e + m   (m = 0, 1)
+    multiplier dofs [2E, 3E)      edge_dofs(E, e)[2] = 2E + e
+    pressure dofs   [3E, 3E + T)  pres_dof(t)        = 3E + t
 
 With NVTF boundary conditions one extra row/column at index 3E + T
 enforces the zero-mean pressure constraint.
+
+A TVNF or NVTF condition on an edge fixes one velocity trace and loads the
+conjugate one (trace_dofs): TVNF fixes the multiplier (u_t) and its datum
+loads both BDM dofs; NVTF fixes both BDM dofs (u_n) and its datum loads
+the multiplier. This one rule serves the global boundary conditions and
+the MRAS interface conditions.
 """
 
 from dataclasses import dataclass, field
@@ -42,28 +48,42 @@ class DofMap:
     def mean_constraint_dof(self):
         return self.n_geometric if self.bc_kind == NVTF else None
 
-    def bdm_dof(self, edge, m):
-        return 2 * edge + m
-
-    def mult_dof(self, edge):
-        return 2 * self.n_edges + edge
-
     def pres_dof(self, tri):
         return 3 * self.n_edges + tri
 
 
+def edge_dofs(n_edges, edges):
+    """Global dofs of edges (index or array), shape (..., 3): BDM dof 0,
+    BDM dof 1, multiplier."""
+    edges = np.asarray(edges, dtype=np.int64)
+    return np.stack([2 * edges, 2 * edges + 1, 2 * n_edges + edges], axis=-1)
+
+
+def trace_dofs(n_edges, edges, kind):
+    """(fixed, loaded) dofs of edges carrying a TVNF or NVTF condition: TVNF
+    fixes the multiplier and loads both BDM dofs, NVTF the reverse."""
+    dofs = edge_dofs(n_edges, edges)
+    if kind == TVNF:
+        return dofs[..., 2], dofs[..., :2]
+    if kind == NVTF:
+        return dofs[..., :2], dofs[..., 2]
+    raise ValueError(f"unknown boundary condition kind {kind!r}")
+
+
+def element_dofs(dm, edge_ids, tris):
+    """Global indices of the 9 velocity/multiplier dofs (ne, 9) and the pressure
+    dof (ne,) of the triangles tris with edges edge_ids (ne, 3), in local order:
+    the BDM dofs of local edges 0, 1, 2, then their multipliers."""
+    dofs = edge_dofs(dm.n_edges, edge_ids)
+    gdofs = np.concatenate([dofs[..., :2].reshape(len(dofs), 6), dofs[..., 2]], axis=1)
+    return gdofs, dm.pres_dof(np.asarray(tris))
+
+
 def build_dof_map(T, bc):
     """Number the dofs of the hybrid triple on T and classify the bc-constrained ones."""
-    if bc not in (TVNF, NVTF):
-        raise ValueError(f"unknown boundary condition kind {bc!r}")
-    E = T.n_edges
-    bnd = np.flatnonzero(T.boundary_edge)
-    if bc == TVNF:
-        constrained = 2 * E + bnd  # boundary multipliers: u_t = 0
-    else:
-        constrained = np.sort(np.concatenate([2 * bnd, 2 * bnd + 1]))  # u_n = 0
-    return DofMap(n_edges=E, n_tris=T.n_triangles, bc_kind=bc,
-                  constrained=constrained.astype(np.int64))
+    fixed, _ = trace_dofs(T.n_edges, np.flatnonzero(T.boundary_edge), bc)
+    return DofMap(n_edges=T.n_edges, n_tris=T.n_triangles, bc_kind=bc,
+                  constrained=np.sort(fixed.ravel()))
 
 
 def vertex_field_at_dofs(T, dm, f):

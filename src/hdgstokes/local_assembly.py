@@ -53,9 +53,9 @@ class ElementStack:
         self.edge_ids = T.tri_edges[self.elems]
         self.edge_lo = T.vertices[T.edges[self.edge_ids, 0]]
         self.d = T.vertices[T.edges[self.edge_ids, 1]] - self.edge_lo
-        self.edge_len = np.linalg.norm(self.d, axis=2)
-        self.t_E = self.d / self.edge_len[..., None]
-        self.n_E = np.stack([-self.t_E[..., 1], self.t_E[..., 0]], axis=-1)
+        self.edge_len = T.edge_len[self.edge_ids]
+        self.t_E = T.edge_t[self.edge_ids]
+        self.n_E = T.edge_n[self.edge_ids]
         self.n_out = T.tri_edge_sign[self.elems, :, None] * self.n_E
 
         # dof functional matrix: rows (edge, node), columns vector monomials
@@ -169,9 +169,8 @@ def edge_load(T, edges, g, bc):
     sign = T.tri_edge_sign[k, loc].astype(float)
     lo = T.vertices[T.edges[edges, 0]]
     d = T.vertices[T.edges[edges, 1]] - lo
-    L = np.linalg.norm(d, axis=1)
-    t_E = d / L[:, None]
-    n_out = sign[:, None] * np.column_stack([-t_E[:, 1], t_E[:, 0]])
+    L, t_E = T.edge_len[edges], T.edge_t[edges]
+    n_out = sign[:, None] * T.edge_n[edges]
 
     params, w = _EDGE_QUAD
     pts = lo[:, None, :] + params[:, None] * d[:, None, :]

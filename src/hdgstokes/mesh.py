@@ -1,7 +1,8 @@
 """Conforming triangulations of the unit square and a T-shaped domain.
 
-Edges are stored once, as (lower, higher) vertex pairs; the global unit
-normal of an edge is the lower->higher tangent rotated by +90 degrees.
+Edges are stored once, as (lower, higher) vertex pairs, with their frame:
+length, unit lower->higher tangent and the global unit normal, which is
+that tangent rotated by +90 degrees.
 Every triangle records, for each of its three edges, the edge index and
 an orientation sign that is +1 exactly when the triangle's outward normal
 on that edge coincides with the global edge normal.
@@ -25,6 +26,9 @@ class Triangulation:
     tri_edges : (nt, 3) int array, edge index of local edge k = (v_k, v_{k+1})
     tri_edge_sign : (nt, 3) int array, +1 iff outward normal == global edge normal
     edge_tris : (ne, 2) int array, adjacent triangle indices (-1 if boundary)
+    edge_len : (ne,) float array, edge lengths
+    edge_t : (ne, 2) float array, unit lower->higher tangents
+    edge_n : (ne, 2) float array, global unit normals (edge_t rotated by +90 degrees)
     boundary_edge : (ne,) bool array
     h_K : (nt,) float array, triangle diameters
     areas : (nt,) float array
@@ -73,6 +77,11 @@ class Triangulation:
         self.boundary_edge = counts == 1
 
         v = self.vertices
+        d = v[self.edges[:, 1]] - v[self.edges[:, 0]]
+        self.edge_len = np.linalg.norm(d, axis=1)
+        self.edge_t = d / self.edge_len[:, None]
+        self.edge_n = np.column_stack([-self.edge_t[:, 1], self.edge_t[:, 0]])
+
         p0, p1, p2 = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
         d1, d2 = p1 - p0, p2 - p0
         self.areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
@@ -99,20 +108,6 @@ class Triangulation:
     @property
     def n_edges(self):
         return len(self.edges)
-
-    def edge_lengths(self):
-        d = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
-        return np.linalg.norm(d, axis=1)
-
-    def edge_tangents(self):
-        """Unit lower->higher tangent per edge."""
-        d = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
-        return d / np.linalg.norm(d, axis=1)[:, None]
-
-    def edge_normals(self):
-        """Global unit normal per edge: tangent rotated by +90 degrees."""
-        t = self.edge_tangents()
-        return np.column_stack([-t[:, 1], t[:, 0]])
 
     def barycenters(self):
         return self.vertices[self.triangles].mean(axis=1)

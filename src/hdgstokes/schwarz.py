@@ -22,8 +22,9 @@ the subdomain's dofs).
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
-from .fem_space import NVTF, TVNF, vertex_field_at_dofs
+from .fem_space import NVTF, TVNF, edge_dofs, trace_dofs, vertex_field_at_dofs
 from .krylov import Factorization, FactorizationError
 
 
@@ -125,41 +126,29 @@ def partition_from_file(T, path):
     return _require_nonempty(parts, parts.max() + 1)
 
 
-def _vertex_tri_incidence(T):
-    flat = T.triangles.ravel()
-    order = np.argsort(flat, kind="stable")
-    tri_of = order // 3
-    starts = np.searchsorted(flat[order], np.arange(T.n_vertices + 1))
-    return tri_of, starts
-
-
 def add_overlap(T, parts, l):
     """Grow each part by l rounds of vertex-adjacent triangles."""
     if l < 1:
         raise ValueError("overlap l must be at least 1 (partition-of-unity support)")
     n_parts = int(parts.max()) + 1
-    tri_of, starts = _vertex_tri_incidence(T)
+    nt = T.n_triangles
+    # vertex-triangle incidence: (Inc @ cur) > 0 marks the vertices of a triangle set
+    Inc = sp.csr_matrix((np.ones(3 * nt), (T.triangles.ravel(), np.repeat(np.arange(nt), 3))),
+                        shape=(T.n_vertices, nt))
     elems0, elems = [], []
     for i in range(n_parts):
-        own = np.flatnonzero(parts == i)
-        cur = np.zeros(T.n_triangles, dtype=bool)
-        cur[own] = True
+        cur = parts == i
+        elems0.append(np.flatnonzero(cur))
         for _ in range(l):
-            vmask = np.zeros(T.n_vertices, dtype=bool)
-            vmask[T.triangles[cur].ravel()] = True
-            vs = np.flatnonzero(vmask)
-            for v in vs:
-                cur[tri_of[starts[v]:starts[v + 1]]] = True
-        elems0.append(own)
+            cur = Inc.T @ (Inc @ cur) > 0
         elems.append(np.flatnonzero(cur))
     return Decomposition(n_parts=n_parts, elems0=elems0, elems=elems, l=l)
 
 
 def subdomain_dofs(T, dm, elems):
     """All global dofs attached to a triangle set (plus the NVTF constraint row)."""
-    E = dm.n_edges
     edges = np.unique(T.tri_edges[elems])
-    parts = [2 * edges, 2 * edges + 1, 2 * E + edges, 3 * E + np.asarray(elems)]
+    parts = [edge_dofs(dm.n_edges, edges).ravel(), dm.pres_dof(np.asarray(elems))]
     if dm.bc_kind == NVTF:
         parts.append(np.array([dm.mean_constraint_dof]))
     return np.sort(np.concatenate(parts))
@@ -233,7 +222,8 @@ def mras_local_matrix(sysm, T, dec, i, ic):
     interface edges get the single-element rows of a genuine local boundary:
     the natural flux condition (sigma_nn = 0 for TVNF, sigma_nt = 0 for NVTF)
     costs nothing and the conjugate velocity trace is fixed to zero (TVNF:
-    multiplier, NVTF: both BDM dofs), exactly as the global bc does on Gamma.
+    multiplier, NVTF: both BDM dofs; fem_space.trace_dofs), exactly as the
+    global bc does on Gamma.
     Edges on Gamma keep the global constraints; away from the interface the
     rows coincide with R_i A R_i^T. A floating local problem (every boundary
     edge normal-constrained) is pinned by a mean-pressure border row at local
@@ -253,11 +243,8 @@ def mras_local_matrix(sysm, T, dec, i, ic):
     floating = ((len(gamma) == 0 or dm.bc_kind == NVTF)
                 and (len(iface) == 0 or ic == NVTF))
 
-    if ic == TVNF:
-        fixed = [dm.mult_dof(iface)]
-    else:
-        fixed = [2 * iface, 2 * iface + 1]
-    fixed.append(np.intersect1d(dm.constrained, dofs))
+    fixed = [trace_dofs(dm.n_edges, iface, ic)[0].ravel(),
+             np.intersect1d(dm.constrained, dofs)]
     pin = np.searchsorted(dofs, dm.n_geometric)
     border = None
     if floating:

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
-from .fem_space import NVTF, TVNF, DofMap
+from .fem_space import NVTF, TVNF, DofMap, element_dofs, trace_dofs
 from .local_assembly import ElementStack, edge_load, local_a, local_b, local_load
 
 
@@ -26,16 +26,6 @@ class AssembledSystem:
     nu: float
     tau: float
     eps: int
-
-
-def element_dofs(dm, edge_ids, tris):
-    """Global indices of the 9 velocity/multiplier dofs (ne, 9) and the pressure
-    dof (ne,) of the triangles tris with edges edge_ids (ne, 3)."""
-    gdofs = np.empty((len(tris), 9), dtype=np.int64)
-    gdofs[:, 0:6:2] = 2 * edge_ids
-    gdofs[:, 1:6:2] = 2 * edge_ids + 1
-    gdofs[:, 6:9] = 2 * dm.n_edges + edge_ids
-    return gdofs, dm.pres_dof(np.asarray(tris))
 
 
 def element_triplets(T, dm, nu, tau, eps, elems=None, rhs=None, f=None):
@@ -71,12 +61,7 @@ def assemble(T, dm, nu=1.0, tau=6.0, eps=-1, f=None, g=None, constrained_values=
 
     if g is not None:
         bnd = np.flatnonzero(T.boundary_edge)
-        load = edge_load(T, bnd, g, dm.bc_kind)
-        if dm.bc_kind == TVNF:
-            rhs[2 * bnd] += load[:, 0]
-            rhs[2 * bnd + 1] += load[:, 1]
-        else:
-            rhs[dm.mult_dof(bnd)] += load
+        rhs[trace_dofs(dm.n_edges, bnd, dm.bc_kind)[1]] += edge_load(T, bnd, g, dm.bc_kind)
 
     fixed = dm.constrained
     x_fixed = np.zeros(n)

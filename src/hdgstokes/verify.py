@@ -19,10 +19,10 @@ from typing import Callable
 
 import numpy as np
 
-from .fem_space import NVTF, TVNF
+from .fem_space import NVTF, TVNF, edge_dofs, element_dofs
 from .local_assembly import ElementStack
-from .quadrature import edge_gauss, tri_rule
-from .system import element_dofs, manufactured_data
+from .quadrature import BDM_NODES, edge_gauss, tri_rule
+from .system import manufactured_data
 
 
 @dataclass
@@ -191,25 +191,15 @@ class ErrorReport:
     max_div: float
 
 
-def error_norms(T, dm, x, exact, tau=6.0):
-    """Energy / h / L2 errors of a solution vector against an exact solution."""
-    nu = exact.nu
-    ker, vd, mult, pres = _element_fields(T, dm, x)
+def _energy_terms(T, ker, vd, mult, grad_u):
+    """Per-triangle squared energy-norm terms (h1, edge, stab) of the error of
+    the discrete pair (vd, mult) against an exact velocity with gradient grad_u,
+    before the nu, h_K and tau/h_K factors."""
     gh = ker.field_grad(vd)          # (nt, 2, 2)
-    div = ker.field_div(vd)
-
     bary, wv = tri_rule(5)
     vol_pts = np.einsum("qb,tbc->tqc", bary, ker.verts)
-    xq, yq = vol_pts[..., 0], vol_pts[..., 1]
-    gu = np.asarray(exact.grad_u(xq, yq))        # (nt, q, 2, 2)
-    gdiff = gu - gh[:, None, :, :]
+    gdiff = np.asarray(grad_u(vol_pts[..., 0], vol_pts[..., 1])) - gh[:, None, :, :]
     h1_sq = T.areas * np.einsum("q,tqij->t", wv, gdiff ** 2)
-
-    uh = ker.eval_field(vd, vol_pts)
-    udiff = np.asarray(exact.u(xq, yq)) - uh
-    l2u_sq = (T.areas * np.einsum("q,tqc->t", wv, udiff ** 2)).sum()
-    pdiff = np.asarray(exact.p(xq, yq)) - pres[:, None]
-    l2p_sq = (T.areas * np.einsum("q,tq->t", wv, pdiff ** 2)).sum()
 
     params, we = edge_gauss(4)
     edge_pts = ker.edge_points(params)
@@ -217,13 +207,29 @@ def error_norms(T, dm, x, exact, tau=6.0):
     stab_sq = np.zeros(T.n_triangles)
     for k in range(3):
         pts = edge_pts[:, k]
-        geu = np.asarray(exact.grad_u(pts[..., 0], pts[..., 1]))
-        gd = geu - gh[:, None, :, :]
+        gd = np.asarray(grad_u(pts[..., 0], pts[..., 1])) - gh[:, None, :, :]
         dn = np.einsum("tqij,tj->tqi", gd, ker.n_out[:, k])
         edge_sq += ker.edge_len[:, k] * np.einsum("q,tqi->t", we, dn ** 2)
         uh_e = ker.eval_field(vd, pts)
         avg_t = np.einsum("q,tq->t", we, np.einsum("tqc,tc->tq", uh_e, ker.t_E[:, k]))
         stab_sq += ker.edge_len[:, k] * (mult[:, k] - avg_t) ** 2
+    return h1_sq, edge_sq, stab_sq
+
+
+def error_norms(T, dm, x, exact, tau=6.0):
+    """Energy / h / L2 errors of a solution vector against an exact solution."""
+    nu = exact.nu
+    ker, vd, mult, pres = _element_fields(T, dm, x)
+    h1_sq, edge_sq, stab_sq = _energy_terms(T, ker, vd, mult, exact.grad_u)
+
+    bary, wv = tri_rule(5)
+    vol_pts = np.einsum("qb,tbc->tqc", bary, ker.verts)
+    xq, yq = vol_pts[..., 0], vol_pts[..., 1]
+    uh = ker.eval_field(vd, vol_pts)
+    udiff = np.asarray(exact.u(xq, yq)) - uh
+    l2u_sq = (T.areas * np.einsum("q,tqc->t", wv, udiff ** 2)).sum()
+    pdiff = np.asarray(exact.p(xq, yq)) - pres[:, None]
+    l2p_sq = (T.areas * np.einsum("q,tq->t", wv, pdiff ** 2)).sum()
 
     energy_sq = nu * (h1_sq + T.h_K * edge_sq + tau / T.h_K * stab_sq).sum()
     err_energy = np.sqrt(energy_sq)
@@ -233,65 +239,45 @@ def error_norms(T, dm, x, exact, tau=6.0):
                        err_h=float(err_energy + err_l2_p / np.sqrt(nu)),
                        err_l2_u=float(np.sqrt(l2u_sq)),
                        err_l2_p=float(err_l2_p),
-                       max_div=float(np.abs(div).max()))
+                       max_div=float(np.abs(ker.field_div(vd)).max()))
 
 
 def energy_norm(T, dm, x, nu=1.0, tau=6.0, parts=False):
-    """Discrete |||(v, vtilde)||| of a coefficient vector (pressure part ignored).
+    """Discrete |||(v, vtilde)||| of a coefficient vector (pressure part ignored):
+    the error norm's terms against a zero exact solution.
 
     With parts=True returns (h1, edge, stab) sums without the nu factor:
     |||.|||^2 = nu * (h1 + edge + stab).
     """
     ker, vd, mult, _ = _element_fields(T, dm, x)
-    gh = ker.field_grad(vd)
-    h1_sq = T.areas * np.einsum("tij,tij->t", gh, gh)
-
-    params, we = edge_gauss(3)
-    edge_pts = ker.edge_points(params)
-    edge_sq = np.zeros(T.n_triangles)
-    stab_sq = np.zeros(T.n_triangles)
-    for k in range(3):
-        dn = np.einsum("tij,tj->ti", gh, ker.n_out[:, k])
-        edge_sq += ker.edge_len[:, k] * np.einsum("ti,ti->t", dn, dn)
-        uh_e = ker.eval_field(vd, edge_pts[:, k])
-        avg_t = np.einsum("q,tq->t", we, np.einsum("tqc,tc->tq", uh_e, ker.t_E[:, k]))
-        stab_sq += ker.edge_len[:, k] * (avg_t - mult[:, k]) ** 2
-
+    h1_sq, edge_sq, stab_sq = _energy_terms(T, ker, vd, mult,
+                                            lambda xq, yq: np.zeros(np.shape(xq) + (2, 2)))
     h1, edge, stab = h1_sq.sum(), (T.h_K * edge_sq).sum(), (tau / T.h_K * stab_sq).sum()
     if parts:
         return h1, edge, stab
     return float(np.sqrt(nu * (h1 + edge + stab)))
 
 
-def max_divergence(T, dm, x):
-    ker, vd, _, _ = _element_fields(T, dm, x)
-    return float(np.abs(ker.field_div(vd)).max())
-
-
 def interpolate(T, dm, exact):
     """Dof vector of (Pi u, Phi0 u_t, Psi0 p); the NVTF constraint entry is 0."""
-    from .quadrature import BDM_NODES
-
     x = np.zeros(dm.n_total)
+    dofs = edge_dofs(dm.n_edges, np.arange(dm.n_edges))
     lo = T.vertices[T.edges[:, 0]]
     d = T.vertices[T.edges[:, 1]] - lo
-    L = np.linalg.norm(d, axis=1)
-    t_E = d / L[:, None]
-    n_E = np.column_stack([-t_E[:, 1], t_E[:, 0]])
     for m, s in enumerate(BDM_NODES):
         pts = lo + s * d
         uv = np.asarray(exact.u(pts[:, 0], pts[:, 1]))
-        x[2 * np.arange(dm.n_edges) + m] = np.einsum("ec,ec->e", uv, n_E)
+        x[dofs[:, m]] = np.einsum("ec,ec->e", uv, T.edge_n)
     params, w = edge_gauss(3)
     acc = np.zeros(dm.n_edges)
     for s, wq in zip(params, w):
         pts = lo + s * d
         uv = np.asarray(exact.u(pts[:, 0], pts[:, 1]))
-        acc += wq * np.einsum("ec,ec->e", uv, t_E)
-    x[2 * dm.n_edges:3 * dm.n_edges] = acc
+        acc += wq * np.einsum("ec,ec->e", uv, T.edge_t)
+    x[dofs[:, 2]] = acc
     bary, wv = tri_rule(5)
     pts = np.einsum("qb,tbc->tqc", bary, T.vertices[T.triangles])
-    x[3 * dm.n_edges:3 * dm.n_edges + dm.n_tris] = \
+    x[dm.pres_dof(np.arange(dm.n_tris))] = \
         np.einsum("q,tq->t", wv, np.asarray(exact.p(pts[..., 0], pts[..., 1])))
     return x
 

@@ -5,11 +5,12 @@ import pytest
 import scipy.linalg
 
 from hdgstokes import NVTF, build_dof_map, generate, refine_uniform, verify
+from hdgstokes.fem_space import element_dofs
 from hdgstokes.local_assembly import (ElementStack, GeometryError, edge_load,
                                       local_a, local_b, local_load)
 from hdgstokes.mesh import Triangulation
 from hdgstokes.quadrature import BDM_NODES, edge_gauss, tri_rule
-from hdgstokes.system import element_dofs, element_triplets
+from hdgstokes.system import element_triplets
 
 
 def reference_mesh():
@@ -310,7 +311,7 @@ def test_edge_load_tvnf_unit_datum():
     bnd = np.flatnonzero(T.boundary_edge)
     vals = edge_load(T, bnd, g, "tvnf")
     for e, val in zip(bnd, vals):
-        L = T.edge_lengths()[e]
+        L = T.edge_len[e]
         k = T.edge_tris[e, 0]
         loc = int(np.flatnonzero(T.tri_edges[k] == e)[0])
         sign = T.tri_edge_sign[k, loc]
@@ -321,7 +322,7 @@ def test_edge_load_nvtf_unit_datum():
     T = generate("unit_square", 1)
     g = lambda x, y, n, t: np.ones_like(np.asarray(x, float))
     bnd = np.flatnonzero(T.boundary_edge)
-    assert np.abs(edge_load(T, bnd, g, "nvtf") - T.edge_lengths()[bnd]).max() < 1e-14
+    assert np.abs(edge_load(T, bnd, g, "nvtf") - T.edge_len[bnd]).max() < 1e-14
 
 
 def test_edge_load_interior_edge_rejected():

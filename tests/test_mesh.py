@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -79,7 +81,7 @@ def test_edge_normals_reproducible():
     tang = T.vertices[T.edges[:, 1]] - T.vertices[T.edges[:, 0]]
     tang /= np.linalg.norm(tang, axis=1)[:, None]
     normals = np.column_stack([-tang[:, 1], tang[:, 0]])
-    assert np.allclose(normals, T.edge_normals())
+    assert np.allclose(normals, T.edge_n)
     # the recorded sign reproduces the outward-normal comparison
     for k in range(T.n_triangles):
         v = T.vertices[T.triangles[k]]
@@ -89,6 +91,28 @@ def test_edge_normals_reproducible():
             n_out = np.array([t[1], -t[0]])
             e = T.tri_edges[k, loc]
             assert np.isclose(n_out @ normals[e], T.tri_edge_sign[k, loc])
+
+
+def jittered_square(n, seed):
+    T = mesh.generate("unit_square", n)
+    inner = (T.vertices > 0).all(axis=1) & (T.vertices < 1).all(axis=1)
+    jitter = np.random.default_rng(seed).uniform(-0.3 / n, 0.3 / n, T.vertices.shape)
+    return mesh.Triangulation(T.vertices + inner[:, None] * jitter, T.triangles)
+
+
+@pytest.mark.parametrize("T", [jittered_square(6, 3), mesh.generate("t_shape", 4)],
+                         ids=["jittered", "t_shape"])
+def test_edge_frame(T):
+    for e, (lo, hi) in enumerate(T.edges):
+        a, b = T.vertices[lo], T.vertices[hi]
+        t, n = T.edge_t[e], T.edge_n[e]
+        assert np.isclose(T.edge_len[e], math.dist(a, b), rtol=1e-15, atol=0)
+        assert np.isclose(t @ t, 1.0, rtol=0, atol=1e-15)
+        assert np.isclose(n @ n, 1.0, rtol=0, atol=1e-15)
+        assert abs(t @ n) <= 1e-15
+        # lower->higher tangent, normal rotated by +90 degrees
+        assert np.isclose(t @ (b - a), T.edge_len[e], rtol=1e-14, atol=0)
+        assert np.isclose(t[0] * n[1] - t[1] * n[0], 1.0, rtol=0, atol=1e-15)
 
 
 def test_dual_graph_unit_square_1():

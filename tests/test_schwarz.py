@@ -3,6 +3,7 @@ import pytest
 
 from hdgstokes import NVTF, TVNF, Triangulation, build_dof_map, generate
 from hdgstokes import krylov, schwarz, system, verify
+from hdgstokes.fem_space import edge_dofs
 
 
 def assembled(case, n):
@@ -151,7 +152,7 @@ def test_interface_midpoint_weight_is_half():
     assert len(on_line) > 0
     w = {i: dict(zip(dec.dofs[i], dec.weights[i])) for i in range(2)}
     for e in on_line:
-        d = dm.mult_dof(e)
+        d = edge_dofs(dm.n_edges, e)[2]
         assert abs(w[0][d] - 0.5) < 1e-12
         assert abs(w[1][d] - 0.5) < 1e-12
 
