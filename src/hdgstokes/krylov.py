@@ -4,7 +4,11 @@ Factorization wraps SuperLU. By default it uses scipy's column ordering
 with partial pivoting (the Schwarz local factors, solved many times each);
 with refine=True (the global reference solve, done once) it factors a
 regularised copy with a symmetric ordering and diagonal pivots and refines
-against the original matrix.
+against the original matrix. BorderedFactorization solves a matrix whose
+last row and column are a border (the mean-pressure row of an NVTF RAS
+subdomain) by factoring only the leading block and eliminating the border
+through a scalar Schur complement: a dense border row is ordered inside
+the factor by COLAMD on small matrices and fills it.
 
 Full GMRES: one Arnoldi cycle of at most max_iter steps, modified
 Gram-Schmidt with Givens updates of the Hessenberg factor. The Arnoldi
@@ -90,6 +94,41 @@ class Factorization:
                 f"iterative refinement stalled at relative residual "
                 f"{best_res / np.linalg.norm(b):.1e}")
         return best
+
+
+class BorderedFactorization(Factorization):
+    """Solver for K = [[K0, c], [d^T, g]] with a nonsingular leading block K0.
+
+    Only K0 is factored (self._lu, partial pivoting as in Factorization).
+    Set-up forms w = K0^{-1} c and the scalar Schur complement
+    s = g - d^T w; solve(r) takes one K0 solve: y = K0^{-1} r0,
+    lam = (r_last - d^T y) / s, x = [y - lam w; lam]. Raises
+    FactorizationError when K0 is singular or |s| <= 1e-14 (|g| + ||d|| ||w||).
+    """
+
+    def __init__(self, K):
+        K = sp.csc_matrix(K)
+        m = K.shape[0] - 1
+        if K.shape[1] != m + 1:
+            raise FactorizationError("matrix must be square")
+        super().__init__(K[:m, :m])
+        c = K[:m, m].toarray().ravel()
+        self._d = K[m, :m].toarray().ravel()
+        g = K[m, m]
+        self._w = self._lu.solve(c)
+        self._s = g - self._d @ self._w
+        if abs(self._s) <= 1e-14 * (abs(g) + np.linalg.norm(self._d) * np.linalg.norm(self._w)):
+            raise FactorizationError("border Schur complement is singular to working precision")
+        self.n = m + 1
+
+    def solve(self, b):
+        b = np.asarray(b, dtype=float)
+        x = np.empty(self.n)
+        y = self._lu.solve(b[:-1])
+        lam = (b[-1] - self._d @ y) / self._s
+        np.subtract(y, lam * self._w, out=x[:-1])
+        x[-1] = lam
+        return x
 
 
 @dataclass

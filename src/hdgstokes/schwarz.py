@@ -8,6 +8,11 @@ pressure: barycenters); with at least one overlap layer the indicator of
 a subdomain vanishes at every dof it does not own, which makes
 sum_i R_i^T D_i R_i = Id exact.
 
+RAS local matrices are R_i A R_i^T. For an NVTF system they keep the
+global mean-pressure border as their last dof; on a subdomain smaller than
+the mesh it is eliminated through a scalar Schur complement instead of
+being factored with the rest (krylov.BorderedFactorization).
+
 MRAS local matrices are the global assembly run on fewer elements:
 system.element_triplets over the overlapped subdomain, then
 system.constrained_matrix with more dofs fixed. Interface edges (the
@@ -25,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fem_space import NVTF, TVNF, edge_dofs, trace_dofs, vertex_field_at_dofs
-from .krylov import Factorization, FactorizationError
+from .krylov import BorderedFactorization, Factorization, FactorizationError
 
 
 @dataclass
@@ -36,6 +41,7 @@ class Decomposition:
     l: int
     dofs: list = None     # sorted global dof indices per subdomain
     weights: list = None  # partition-of-unity diagonal per subdomain
+    mean_constraint_dof: int = None  # NVTF border dof, last in every dofs[i]
 
 
 def parse_strategy(strategy):
@@ -157,6 +163,7 @@ def subdomain_dofs(T, dm, elems):
 def partition_of_unity(dec, T, dm):
     """Fill dec.dofs and dec.weights; the weights of each dof sum to 1."""
     dec.dofs = [subdomain_dofs(T, dm, dec.elems[i]) for i in range(dec.n_parts)]
+    dec.mean_constraint_dof = dm.mean_constraint_dof
 
     raw = []
     denom = np.zeros(dm.n_total)
@@ -193,12 +200,21 @@ class SchwarzPreconditioner:
 
 
 def build_ras(A, dec):
-    """Restricted additive Schwarz: factorise R_i A R_i^T per subdomain."""
+    """Restricted additive Schwarz: factorise R_i A R_i^T per subdomain.
+
+    For an NVTF system every subdomain ends with the mean-pressure border
+    dof. A subdomain smaller than the mesh has free normal velocities on its
+    interface, so its block without the border is nonsingular and the border
+    is eliminated through a scalar Schur complement (BorderedFactorization);
+    the whole-mesh subdomain floats without it and keeps the plain factor.
+    """
     factors = []
     for i in range(dec.n_parts):
         try:
             dofs = dec.dofs[i]
-            factors.append(Factorization(A[dofs, :][:, dofs].tocsc()))
+            bordered = dec.mean_constraint_dof is not None and len(dofs) < A.shape[0]
+            factor = BorderedFactorization if bordered else Factorization
+            factors.append(factor(A[dofs, :][:, dofs].tocsc()))
         except FactorizationError as err:
             raise FactorizationError(f"RAS subdomain {i}: {err}") from err
     return SchwarzPreconditioner(dofs=dec.dofs, weights=dec.weights, factors=factors)

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from hdgstokes import NVTF, TVNF, Triangulation, build_dof_map, generate
 from hdgstokes import krylov, schwarz, system, verify
 from hdgstokes.fem_space import edge_dofs
 
 
-def assembled(case, n):
+def assembled(case, n, eps=-1):
     ex = verify.catalogue(case)
     T = generate("unit_square", n)
     dm = build_dof_map(T, ex.bc)
-    sysm = system.assemble(T, dm, f=ex.f, g=ex.g)
+    sysm = system.assemble(T, dm, eps=eps, f=ex.f, g=ex.g)
     return ex, T, dm, sysm
 
 
@@ -182,6 +183,56 @@ def test_ras_single_subdomain_is_exact_inverse():
     x, rep = krylov.gmres(lambda v: sysm.A @ v, sysm.rhs, apply_M=pre.apply,
                           tol=1e-10, max_iter=10)
     assert rep.converged and rep.iterations <= 2
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("spec_", ["uniform:2x2", "uniform:3x3", "uniform:4x4"])
+@pytest.mark.parametrize("eps", [-1, 1])
+def test_ras_bordered_local_solves_match_full_lu(n, spec_, eps):
+    # NVTF: each proper subdomain eliminates the mean-pressure border through
+    # its Schur complement; the solve must equal that of the whole R_i A R_i^T
+    ex, T, dm, sysm = assembled("bubble", n, eps)
+    dec = schwarz.build_decomposition(T, dm, schwarz.decompose(T, spec_), 1)
+    pre = schwarz.build_ras(sysm.A, dec)
+    rng = np.random.default_rng(3)
+    for dofs, F in zip(pre.dofs, pre.factors):
+        assert isinstance(F, krylov.BorderedFactorization)
+        assert F.n == len(dofs) and dofs[-1] == dm.mean_constraint_dof
+        r = rng.standard_normal(len(dofs))
+        ref = spla.splu(sysm.A[dofs, :][:, dofs].tocsc()).solve(r)
+        assert np.linalg.norm(F.solve(r) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_ras_bordered_local_fill_below_full_lu():
+    # COLAMD orders the border row inside small factors, where it fills
+    ex, T, dm, sysm = assembled("bubble", 32)
+    dec = schwarz.build_decomposition(T, dm, schwarz.decompose(T, "uniform:4x4"), 1)
+    pre = schwarz.build_ras(sysm.A, dec)
+    plain = sum(krylov.Factorization(sysm.A[d, :][:, d])._lu.nnz for d in dec.dofs)
+    assert sum(F._lu.nnz for F in pre.factors) < 0.7 * plain
+
+
+def test_bordered_factorization_rejects_zero_border_column():
+    ex, T, dm, sysm = assembled("bubble", 8)
+    dec = schwarz.build_decomposition(T, dm, schwarz.decompose(T, "uniform:2x2"), 1)
+    dofs = dec.dofs[0]
+    K = sysm.A[dofs, :][:, dofs].tolil()
+    K[:-1, -1] = 0.0
+    with pytest.raises(krylov.FactorizationError, match="Schur complement"):
+        krylov.BorderedFactorization(K.tocsc())
+
+
+def test_ras_whole_mesh_subdomains_keep_full_factor():
+    # n = 2 with overlap 3: every subdomain is the whole mesh, whose block
+    # without the border is singular (constant pressure), so the border stays
+    ex, T, dm, sysm = assembled("bubble", 2)
+    dec = schwarz.build_decomposition(T, dm, schwarz.decompose(T, "uniform:2x2"), 3)
+    pre = schwarz.build_ras(sysm.A, dec)
+    assert all(type(F) is krylov.Factorization and F.n == dm.n_total
+               for F in pre.factors)
+    _, rep = krylov.gmres(lambda v: sysm.A @ v, sysm.rhs, apply_M=pre.apply,
+                          tol=1e-10, max_iter=10)
+    assert rep.converged and rep.iterations == 1
 
 
 def test_ras_and_mras_coincide_for_single_subdomain():
