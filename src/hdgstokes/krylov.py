@@ -1,14 +1,12 @@
 """Sparse direct factorisation and right-preconditioned GMRES.
 
-Factorization wraps SuperLU. By default it uses scipy's column ordering
-with partial pivoting (the Schwarz local factors, solved many times each);
-with refine=True (the global reference solve, done once) it factors a
-regularised copy with a symmetric ordering and diagonal pivots and refines
-against the original matrix. BorderedFactorization solves a matrix whose
-last row and column are a border (the mean-pressure row of an NVTF RAS
-subdomain) by factoring only the leading block and eliminating the border
-through a scalar Schur complement: a dense border row is ordered inside
-the factor by COLAMD on small matrices and fills it.
+Factorization wraps SuperLU and factors every matrix one way: the zero
+diagonal of the hybrid-dG saddle point (pressures, mean-pressure border) is
+shifted by -1e-12 max|A|, and the shifted copy is factored with a
+minimum-degree ordering of A + A^T and diagonal pivots. solve() removes the
+shift by refinement against the unshifted matrix: until the residual stops
+falling for a system solved once (the global reference solve), one step
+for the Schwarz local factors, which are solved many times each.
 
 Full GMRES: one Arnoldi cycle of at most max_iter steps, modified
 Gram-Schmidt with Givens updates of the Hessenberg factor. The Arnoldi
@@ -34,49 +32,53 @@ class FactorizationError(Exception):
 
 
 class Factorization:
-    """Sparse LU (SuperLU) with a guard against near-singular pivots.
+    """Sparse LU (SuperLU) of a regularised copy, refined against the matrix.
 
-    refine=True is for a saddle-point matrix that is solved once, such as
-    the global reference system. Its zero diagonal (the pressure block,
-    and the mean-pressure border) is shifted by -1e-12 max|A|. That makes
-    the matrix quasi-definite, so diagonal pivots exist for any symmetric
-    ordering; a minimum-degree ordering of A + A^T with diagonal pivots
-    stores about half the fill of column ordering with partial pivoting.
-    solve() removes the shift by iterative refinement against the
-    unshifted A and raises FactorizationError if the residual stays above
-    1e-10 ||b||.
+    The zero diagonal of A (the pressure block and the mean-pressure border)
+    is shifted by -1e-12 max|A|. That makes the saddle point quasi-definite,
+    so diagonal pivots exist for any symmetric ordering; a minimum-degree
+    ordering of A + A^T with diagonal pivots stores about half the fill of
+    column ordering with partial pivoting. The unshifted A is kept (CSR) for
+    the residual of the refinement.
+
+    refine=True (a system solved once, such as the global reference):
+    solve() refines while the residual at least halves and raises
+    FactorizationError if it stays above 1e-10 ||b||.
+    refine=False (the Schwarz local factors): solve() takes exactly one
+    refinement step, x = LU^{-1} b; x += LU^{-1} (b - A x), a fixed linear
+    operator exact to round-off. Set-up solves A x = ones and raises
+    FactorizationError when the relative residual exceeds 1e-8 or
+    max|A| ||x||_inf (a lower bound on the condition number) exceeds 1e14.
     """
 
     def __init__(self, A, refine=False):
-        A = sp.csc_matrix(A)
+        A = sp.csr_matrix(A)
         if A.shape[0] != A.shape[1]:
             raise FactorizationError("matrix must be square")
+        self._A, self._refine, self.n = A, refine, A.shape[0]
         scale = np.abs(A.data).max() if A.nnz else 0.0
-        self._A = A if refine else None
-        opts = {}
-        if refine:
-            z = np.flatnonzero(A.diagonal() == 0)
-            shift = sp.csc_matrix((np.full(len(z), -1e-12 * scale), (z, z)), shape=A.shape)
-            A = A + shift
-            opts = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                        options={"SymmetricMode": True})
+        z = np.flatnonzero(A.diagonal() == 0)
+        shift = sp.csc_matrix((np.full(len(z), -1e-12 * scale), (z, z)), shape=A.shape)
         try:
-            self._lu = spla.splu(A, **opts)
+            self._lu = spla.splu(A.tocsc() + shift, permc_spec="MMD_AT_PLUS_A",
+                                 diag_pivot_thresh=0.0, options={"SymmetricMode": True})
         except RuntimeError as err:
             raise FactorizationError(f"sparse LU failed: {err}") from err
-        piv = np.abs(self._lu.U.diagonal())
-        if scale == 0.0 or piv.min() < 1e-14 * scale:
-            raise FactorizationError("matrix is singular to working precision")
-        self.n = A.shape[0]
+        if not refine:
+            b = np.ones(self.n)
+            x = self.solve(b)
+            res = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
+            if not (res <= 1e-8 and scale * np.abs(x).max() <= 1e14):
+                raise FactorizationError("matrix is singular to working precision")
 
     def solve(self, b):
         b = np.asarray(b, dtype=float)
         x = self._lu.solve(b)
-        if self._A is None:
-            return x
+        r = b - self._A @ x
+        if not self._refine:
+            return x + self._lu.solve(r)
         # x += LU^{-1} (b - A x) while the residual at least halves, up to
         # 10 solves; keep the iterate with the smallest residual
-        r = b - self._A @ x
         res = np.linalg.norm(r)
         best, best_res = x, res
         for _ in range(9):
@@ -94,41 +96,6 @@ class Factorization:
                 f"iterative refinement stalled at relative residual "
                 f"{best_res / np.linalg.norm(b):.1e}")
         return best
-
-
-class BorderedFactorization(Factorization):
-    """Solver for K = [[K0, c], [d^T, g]] with a nonsingular leading block K0.
-
-    Only K0 is factored (self._lu, partial pivoting as in Factorization).
-    Set-up forms w = K0^{-1} c and the scalar Schur complement
-    s = g - d^T w; solve(r) takes one K0 solve: y = K0^{-1} r0,
-    lam = (r_last - d^T y) / s, x = [y - lam w; lam]. Raises
-    FactorizationError when K0 is singular or |s| <= 1e-14 (|g| + ||d|| ||w||).
-    """
-
-    def __init__(self, K):
-        K = sp.csc_matrix(K)
-        m = K.shape[0] - 1
-        if K.shape[1] != m + 1:
-            raise FactorizationError("matrix must be square")
-        super().__init__(K[:m, :m])
-        c = K[:m, m].toarray().ravel()
-        self._d = K[m, :m].toarray().ravel()
-        g = K[m, m]
-        self._w = self._lu.solve(c)
-        self._s = g - self._d @ self._w
-        if abs(self._s) <= 1e-14 * (abs(g) + np.linalg.norm(self._d) * np.linalg.norm(self._w)):
-            raise FactorizationError("border Schur complement is singular to working precision")
-        self.n = m + 1
-
-    def solve(self, b):
-        b = np.asarray(b, dtype=float)
-        x = np.empty(self.n)
-        y = self._lu.solve(b[:-1])
-        lam = (b[-1] - self._d @ y) / self._s
-        np.subtract(y, lam * self._w, out=x[:-1])
-        x[-1] = lam
-        return x
 
 
 @dataclass

@@ -9,9 +9,7 @@ a subdomain vanishes at every dof it does not own, which makes
 sum_i R_i^T D_i R_i = Id exact.
 
 RAS local matrices are R_i A R_i^T. For an NVTF system they keep the
-global mean-pressure border as their last dof; on a subdomain smaller than
-the mesh it is eliminated through a scalar Schur complement instead of
-being factored with the rest (krylov.BorderedFactorization).
+global mean-pressure border as their last dof.
 
 MRAS local matrices are the global assembly run on fewer elements:
 system.element_triplets over the overlapped subdomain, then
@@ -30,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fem_space import NVTF, TVNF, edge_dofs, trace_dofs, vertex_field_at_dofs
-from .krylov import BorderedFactorization, Factorization, FactorizationError
+from .krylov import Factorization, FactorizationError
 
 
 @dataclass
@@ -41,7 +39,6 @@ class Decomposition:
     l: int
     dofs: list = None     # sorted global dof indices per subdomain
     weights: list = None  # partition-of-unity diagonal per subdomain
-    mean_constraint_dof: int = None  # NVTF border dof, last in every dofs[i]
 
 
 def parse_strategy(strategy):
@@ -163,7 +160,6 @@ def subdomain_dofs(T, dm, elems):
 def partition_of_unity(dec, T, dm):
     """Fill dec.dofs and dec.weights; the weights of each dof sum to 1."""
     dec.dofs = [subdomain_dofs(T, dm, dec.elems[i]) for i in range(dec.n_parts)]
-    dec.mean_constraint_dof = dm.mean_constraint_dof
 
     raw = []
     denom = np.zeros(dm.n_total)
@@ -203,18 +199,14 @@ def build_ras(A, dec):
     """Restricted additive Schwarz: factorise R_i A R_i^T per subdomain.
 
     For an NVTF system every subdomain ends with the mean-pressure border
-    dof. A subdomain smaller than the mesh has free normal velocities on its
-    interface, so its block without the border is nonsingular and the border
-    is eliminated through a scalar Schur complement (BorderedFactorization);
-    the whole-mesh subdomain floats without it and keeps the plain factor.
+    dof; the minimum-degree ordering of Factorization keeps it from filling
+    the factor. A CSR A gives CSR slices, which Factorization keeps as is.
     """
     factors = []
     for i in range(dec.n_parts):
         try:
             dofs = dec.dofs[i]
-            bordered = dec.mean_constraint_dof is not None and len(dofs) < A.shape[0]
-            factor = BorderedFactorization if bordered else Factorization
-            factors.append(factor(A[dofs, :][:, dofs].tocsc()))
+            factors.append(Factorization(A[dofs, :][:, dofs]))
         except FactorizationError as err:
             raise FactorizationError(f"RAS subdomain {i}: {err}") from err
     return SchwarzPreconditioner(dofs=dec.dofs, weights=dec.weights, factors=factors)
@@ -232,7 +224,7 @@ def interface_edges(T, elems):
 
 
 def mras_local_matrix(sysm, T, dec, i, ic):
-    """Local matrix B_i of the MRAS preconditioner (CSC).
+    """Local matrix B_i of the MRAS preconditioner (CSR).
 
     B_i is the global assembly restricted to the elements of subdomain i, so
     interface edges get the single-element rows of a genuine local boundary:
@@ -271,10 +263,9 @@ def mras_local_matrix(sysm, T, dec, i, ic):
 
     rows, cols, vals = element_triplets(T, dm, sysm.nu, sysm.tau, sysm.eps,
                                         elems=elems)
-    S = constrained_matrix(max(m, pin + 1) if floating else m,
-                           np.searchsorted(dofs, rows), np.searchsorted(dofs, cols),
-                           vals, fixed, border)
-    return S.tocsc()
+    return constrained_matrix(max(m, pin + 1) if floating else m,
+                              np.searchsorted(dofs, rows), np.searchsorted(dofs, cols),
+                              vals, fixed, border)
 
 
 def build_mras(sysm, T, dec, ic):

@@ -2,8 +2,9 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from hdgstokes import mesh
+from hdgstokes import mesh, schwarz
 from hdgstokes.cli import main
 
 
@@ -52,6 +53,17 @@ def test_converge_requires_case(capsys):
 
 def test_usage_error_exit_code():
     assert main(["converge", "--case", "nonsense"]) == 1
+
+
+def test_numerical_failure_exit_code(monkeypatch, capsys):
+    # a singular local matrix is rejected when its factor is set up
+    monkeypatch.setattr(schwarz, "mras_local_matrix",
+                        lambda *args: sp.csr_matrix(np.diag([1.0, 1e-16])))
+    assert main(["precond", "--case", "bubble", "--n", "4", "--parts", "uniform:2x2",
+                 "--precond", "mras-tvnf"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: MRAS-tvnf subdomain 0: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_precond_single_subdomain(tmp_path):

@@ -185,41 +185,43 @@ def test_ras_single_subdomain_is_exact_inverse():
     assert rep.converged and rep.iterations <= 2
 
 
+def local_problems(sysm, T, dec, kind):
+    """(preconditioner, local matrices) for kind 'ras', TVNF or NVTF."""
+    if kind == "ras":
+        return (schwarz.build_ras(sysm.A, dec), [sysm.A[d, :][:, d] for d in dec.dofs])
+    return (schwarz.build_mras(sysm, T, dec, kind),
+            [schwarz.mras_local_matrix(sysm, T, dec, i, kind) for i in range(dec.n_parts)])
+
+
 @pytest.mark.parametrize("n", [8, 16])
 @pytest.mark.parametrize("spec_", ["uniform:2x2", "uniform:3x3", "uniform:4x4"])
 @pytest.mark.parametrize("eps", [-1, 1])
 def test_ras_bordered_local_solves_match_full_lu(n, spec_, eps):
-    # NVTF: each proper subdomain eliminates the mean-pressure border through
-    # its Schur complement; the solve must equal that of the whole R_i A R_i^T
+    # NVTF: every RAS local matrix keeps the mean-pressure border. Each RAS
+    # and MRAS local factor (regularised, one refinement step per solve) must
+    # solve like partial-pivot LU of its matrix
     ex, T, dm, sysm = assembled("bubble", n, eps)
     dec = schwarz.build_decomposition(T, dm, schwarz.decompose(T, spec_), 1)
-    pre = schwarz.build_ras(sysm.A, dec)
+    assert all(d[-1] == dm.mean_constraint_dof for d in dec.dofs)
     rng = np.random.default_rng(3)
-    for dofs, F in zip(pre.dofs, pre.factors):
-        assert isinstance(F, krylov.BorderedFactorization)
-        assert F.n == len(dofs) and dofs[-1] == dm.mean_constraint_dof
-        r = rng.standard_normal(len(dofs))
-        ref = spla.splu(sysm.A[dofs, :][:, dofs].tocsc()).solve(r)
-        assert np.linalg.norm(F.solve(r) - ref) <= 1e-12 * np.linalg.norm(ref)
+    for kind in ("ras", TVNF, NVTF):
+        pre, mats = local_problems(sysm, T, dec, kind)
+        for K, F in zip(mats, pre.factors):
+            assert F.n == K.shape[0]
+            r = rng.standard_normal(F.n)
+            ref = spla.splu(K.tocsc()).solve(r)
+            assert np.linalg.norm(F.solve(r) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_ras_bordered_local_fill_below_full_lu():
-    # COLAMD orders the border row inside small factors, where it fills
+    # minimum degree on A + A^T with diagonal pivots against COLAMD with
+    # partial pivoting, which orders the border row inside small factors
     ex, T, dm, sysm = assembled("bubble", 32)
-    dec = schwarz.build_decomposition(T, dm, schwarz.decompose(T, "uniform:4x4"), 1)
-    pre = schwarz.build_ras(sysm.A, dec)
-    plain = sum(krylov.Factorization(sysm.A[d, :][:, d])._lu.nnz for d in dec.dofs)
-    assert sum(F._lu.nnz for F in pre.factors) < 0.7 * plain
-
-
-def test_bordered_factorization_rejects_zero_border_column():
-    ex, T, dm, sysm = assembled("bubble", 8)
-    dec = schwarz.build_decomposition(T, dm, schwarz.decompose(T, "uniform:2x2"), 1)
-    dofs = dec.dofs[0]
-    K = sysm.A[dofs, :][:, dofs].tolil()
-    K[:-1, -1] = 0.0
-    with pytest.raises(krylov.FactorizationError, match="Schur complement"):
-        krylov.BorderedFactorization(K.tocsc())
+    for spec_, kind in [("uniform:4x4", "ras"), ("uniform:2x2", TVNF)]:
+        dec = schwarz.build_decomposition(T, dm, schwarz.decompose(T, spec_), 1)
+        pre, mats = local_problems(sysm, T, dec, kind)
+        plain = sum(spla.splu(K.tocsc()).nnz for K in mats)
+        assert sum(F._lu.nnz for F in pre.factors) < 0.7 * plain, kind
 
 
 def test_ras_whole_mesh_subdomains_keep_full_factor():

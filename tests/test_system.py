@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.io
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from hdgstokes import NVTF, TVNF, build_dof_map, generate, refine_uniform
 from hdgstokes import system, verify
@@ -203,7 +204,7 @@ def test_reference_solve_matches_partial_pivot_oracle(bc, case, eps, n):
     # oracle: SuperLU with column ordering and partial pivoting on A itself
     sysm = reference_system(bc, case, n, eps)
     x = system.solve_direct(sysm)
-    x_pp = Factorization(sysm.A).solve(sysm.rhs)
+    x_pp = spla.splu(sysm.A.tocsc()).solve(sysm.rhs)
     residual = lambda y: np.linalg.norm(sysm.A @ y - sysm.rhs)
     assert residual(x) <= residual(x_pp)
     assert np.linalg.norm(x - x_pp) <= 1e-10 * np.linalg.norm(x_pp)
@@ -212,19 +213,30 @@ def test_reference_solve_matches_partial_pivot_oracle(bc, case, eps, n):
 @pytest.mark.parametrize("bc,case", REFERENCE_CASES)
 def test_reference_factor_fill_below_partial_pivot(bc, case):
     A = reference_system(bc, case, 16).A
-    assert Factorization(A, refine=True)._lu.nnz < 0.6 * Factorization(A)._lu.nnz
+    assert Factorization(A, refine=True)._lu.nnz < 0.6 * spla.splu(A.tocsc()).nnz
 
 
-def test_refinement_guard_rejects_singular_saddle_point():
+def singular_saddle_point():
     # the NVTF border replaced by an identity row leaves the constant pressure
-    # in the kernel: the shifted copy factors, but refinement cannot converge
+    # in the kernel; the shifted copy still factors
     sysm = reference_system(NVTF, "bubble", 8)
     A, r = sysm.A, sysm.dofmap.mean_constraint_dof
     n = A.shape[0]
     keep = np.ones(n)
     keep[r] = 0.0
-    A = sp.diags(keep) @ A @ sp.diags(keep) + sp.coo_matrix(([1.0], ([r], [r])), shape=(n, n))
+    return sp.diags(keep) @ A @ sp.diags(keep) + sp.coo_matrix(([1.0], ([r], [r])), shape=(n, n))
+
+
+def test_refinement_guard_rejects_singular_saddle_point():
+    # refinement cannot converge
+    A = singular_saddle_point()
     F = Factorization(A, refine=True)
-    b = np.random.default_rng(0).standard_normal(n)
+    b = np.random.default_rng(0).standard_normal(A.shape[0])
     with pytest.raises(FactorizationError, match="refinement"):
         F.solve(b)
+
+
+def test_local_factor_rejects_singular_saddle_point_at_setup():
+    # without refine the set-up check raises, before any solve
+    with pytest.raises(FactorizationError, match="singular to working precision"):
+        Factorization(singular_saddle_point())
