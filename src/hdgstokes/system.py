@@ -14,8 +14,9 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
-from .fem_space import NVTF, TVNF, DofMap, element_dofs, trace_dofs
+from .fem_space import NVTF, TVNF, DofMap, dissection_order, element_dofs, trace_dofs
 from .local_assembly import ElementStack, edge_load, local_a, local_b, local_load
+from .mesh import Triangulation
 
 
 @dataclass(frozen=True)
@@ -26,6 +27,7 @@ class AssembledSystem:
     nu: float
     tau: float
     eps: int
+    mesh: Triangulation  # the mesh assembled on; orders the reference factor
 
 
 def element_triplets(T, dm, nu, tau, eps, elems=None, rhs=None, f=None):
@@ -73,7 +75,7 @@ def assemble(T, dm, nu=1.0, tau=6.0, eps=-1, f=None, g=None, constrained_values=
     if dm.bc_kind == NVTF:
         border = (dm.mean_constraint_dof, dm.pres_dof(np.arange(dm.n_tris)), T.areas)
     A = constrained_matrix(n, rows, cols, vals, fixed, border)
-    return AssembledSystem(A=A, rhs=rhs, dofmap=dm, nu=nu, tau=tau, eps=eps)
+    return AssembledSystem(A=A, rhs=rhs, dofmap=dm, nu=nu, tau=tau, eps=eps, mesh=T)
 
 
 def constrained_matrix(n, rows, cols, vals, fixed, border=None):
@@ -129,11 +131,13 @@ def manufactured_data(exact, nu, bc):
 
 
 def solve_direct(system):
-    """Reference solve: sparse LU of a regularised copy of A, refined against A
-    (krylov.Factorization with refine=True)."""
+    """Reference solve: sparse LU of a regularised copy of A in the nested
+    dissection order of the mesh, refined against A (krylov.Factorization
+    with refine=True)."""
     from .krylov import Factorization
 
-    return Factorization(system.A, refine=True).solve(system.rhs)
+    order = dissection_order(system.mesh, system.dofmap)
+    return Factorization(system.A, refine=True, order=order).solve(system.rhs)
 
 
 def dump_matrix(system, path):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hdgstokes import NVTF, TVNF, build_dof_map, dof_locations, generate
-from hdgstokes.fem_space import edge_dofs, trace_dofs
+from hdgstokes import NVTF, TVNF, build_dof_map, dof_locations, generate, refine_uniform, system
+from hdgstokes.fem_space import dissection_order, edge_dofs, trace_dofs
 
 
 def test_counts_unit_square_1():
@@ -91,3 +91,71 @@ def test_constrained_are_fixed_boundary_traces():
         for bc in (TVNF, NVTF):
             fixed, _ = trace_dofs(T.n_edges, bnd, bc)
             assert np.array_equal(build_dof_map(T, bc).constrained, np.sort(fixed.ravel()))
+
+
+ORDER_MESHES = [("unit_square", 1), ("unit_square", 2), ("unit_square", 3),
+                ("unit_square", 8), ("t_shape", 2), ("refined", 3)]
+
+
+def order_mesh(domain, n):
+    if domain == "refined":
+        return refine_uniform(generate("unit_square", n))
+    return generate(domain, n)
+
+
+@pytest.mark.parametrize("bc", [TVNF, NVTF])
+@pytest.mark.parametrize("domain,n", ORDER_MESHES)
+def test_dissection_order_is_a_permutation(domain, n, bc):
+    T = order_mesh(domain, n)
+    dm = build_dof_map(T, bc)
+    order = dissection_order(T, dm)
+    assert np.array_equal(np.sort(order), np.arange(dm.n_total))
+    if bc == NVTF:
+        assert order[-1] == dm.mean_constraint_dof
+
+
+@pytest.mark.parametrize("bc", [TVNF, NVTF])
+@pytest.mark.parametrize("domain,n", ORDER_MESHES)
+def test_dissection_edges_follow_their_pressures(domain, n, bc):
+    T = order_mesh(domain, n)
+    dm = build_dof_map(T, bc)
+    rank = np.argsort(dissection_order(T, dm))
+    inner = np.flatnonzero(T.edge_tris[:, 1] >= 0)
+    last_pressure = rank[dm.pres_dof(T.edge_tris[inner])].max(axis=1)
+    assert np.all(rank[edge_dofs(dm.n_edges, inner)].min(axis=1) > last_pressure)
+
+
+@pytest.mark.parametrize("bc", [TVNF, NVTF])
+@pytest.mark.parametrize("domain,n", [("unit_square", 8), ("t_shape", 4)])
+def test_dissection_root_separator_separates(domain, n, bc):
+    # The first half holds the triangles whose pressures come first, and an
+    # edge lies in a half when all of its triangles do. The order must list
+    # the first half, the second half, then the rest (the root separator and
+    # the NVTF border). Oracle: the assembled matrix couples no dof of one
+    # half with one of the other, and each separator edge couples to both.
+    T = generate(domain, n)
+    dm = build_dof_map(T, bc)
+    order = dissection_order(T, dm)
+    rank = np.argsort(order)
+    pressure_rank = rank[dm.pres_dof(np.arange(dm.n_tris))]
+    first = pressure_rank < np.sort(pressure_rank)[dm.n_tris // 2]
+    tris = np.where(T.edge_tris < 0, T.edge_tris[:, :1], T.edge_tris)
+
+    def half(side):
+        edges = np.flatnonzero(side[tris].all(axis=1))
+        return np.concatenate([edge_dofs(dm.n_edges, edges).ravel(),
+                               dm.pres_dof(np.flatnonzero(side))])
+
+    h1, h2 = half(first), half(~first)
+    k1, k2 = len(h1), len(h2)
+    assert np.array_equal(np.sort(order[:k1]), np.sort(h1))
+    assert np.array_equal(np.sort(order[k1:k1 + k2]), np.sort(h2))
+
+    A = system.assemble(T, dm).A
+    P = A[order][:, order]
+    assert P[:k1, k1:k1 + k2].nnz == 0 and P[k1:k1 + k2, :k1].nnz == 0
+    separator = np.flatnonzero(first[tris[:, 0]] != first[tris[:, 1]])
+    assert len(separator) and k1 + k2 + 3 * len(separator) + (bc == NVTF) == dm.n_total
+    for d in edge_dofs(dm.n_edges, separator)[:, :2].ravel():
+        row = A[d]
+        assert row[:, h1].nnz and row[:, h2].nnz

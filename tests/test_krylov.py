@@ -39,6 +39,22 @@ def test_lu_near_singular_pivot_raises():
         Factorization(A)
 
 
+def test_lu_near_singular_pivot_raises_in_given_order():
+    A = sp.csc_matrix(np.diag([1.0, 1e-16]))
+    with pytest.raises(FactorizationError):
+        Factorization(A, order=[1, 0])
+
+
+def test_lu_given_order_solves_nonsymmetric():
+    rng = np.random.default_rng(1)
+    M = rng.uniform(-1, 1, size=(30, 30)) + np.diag(30 * np.ones(30))
+    order = rng.permutation(30)
+    b = rng.standard_normal(30)
+    for refine in (False, True):
+        x = Factorization(sp.csr_matrix(M), refine=refine, order=order).solve(b)
+        assert np.linalg.norm(M @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
 def test_gmres_identity_one_iteration():
     b = np.array([1.0, -2.0, 3.0])
     x, rep = gmres(lambda v: v, b, tol=1e-10)

@@ -6,6 +6,7 @@ import scipy.sparse.linalg as spla
 
 from hdgstokes import NVTF, TVNF, build_dof_map, generate, refine_uniform
 from hdgstokes import system, verify
+from hdgstokes.fem_space import dissection_order
 from hdgstokes.krylov import Factorization, FactorizationError
 from hdgstokes.verify import ExactSolution
 
@@ -214,6 +215,27 @@ def test_reference_solve_matches_partial_pivot_oracle(bc, case, eps, n):
 def test_reference_factor_fill_below_partial_pivot(bc, case):
     A = reference_system(bc, case, 16).A
     assert Factorization(A, refine=True)._lu.nnz < 0.6 * spla.splu(A.tocsc()).nnz
+
+
+@pytest.mark.parametrize("refine", [True, False])
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("eps", [-1, 1])
+@pytest.mark.parametrize("bc,case", REFERENCE_CASES)
+def test_dissection_ordered_factor_matches_minimum_degree(bc, case, eps, n, refine):
+    sysm = reference_system(bc, case, n, eps)
+    order = dissection_order(sysm.mesh, sysm.dofmap)
+    x = Factorization(sysm.A, refine=refine, order=order).solve(sysm.rhs)
+    x_md = Factorization(sysm.A, refine=refine).solve(sysm.rhs)
+    assert np.linalg.norm(x - x_md) <= 1e-12 * np.linalg.norm(x_md)
+
+
+@pytest.mark.parametrize("bc,case", REFERENCE_CASES)
+def test_reference_fill_with_dissection_below_minimum_degree(bc, case):
+    # nested dissection of the mesh against minimum degree on A + A^T, both
+    # with diagonal pivots on the shifted copy
+    sysm = reference_system(bc, case, 32)
+    nd = Factorization(sysm.A, refine=True, order=dissection_order(sysm.mesh, sysm.dofmap))
+    assert nd._lu.nnz < 0.6 * Factorization(sysm.A, refine=True)._lu.nnz
 
 
 def singular_saddle_point():
