@@ -1,14 +1,14 @@
 """Sparse direct factorisation and right-preconditioned GMRES.
 
-Factorization wraps SuperLU and factors every matrix one way: the zero
-diagonal of the hybrid-dG saddle point (pressures, mean-pressure border) is
-shifted by -1e-12 max|A|, and the shifted copy is factored with diagonal
-pivots in a symmetric order. The global reference solve passes a nested
-dissection of the mesh (fem_space.dissection_order); the Schwarz local
-factors use minimum degree on A + A^T. solve() removes the shift by
-refinement against the unshifted matrix: until the residual stops falling
-for a system solved once (the global reference solve), one step for the
-Schwarz local factors, which are solved many times each.
+Factorization wraps SuperLU and always pivots on the diagonal, in a
+symmetric order it is given. The global reference solve (refine=True)
+factors a copy whose zero diagonal (pressures, mean-pressure border) is
+shifted by -1e-12 max|A|, ordered by a nested dissection of the mesh
+(fem_space.dissection_order), and refines against the unshifted matrix
+until the residual stops falling. The Schwarz local factors (refine=False)
+factor the matrix itself, in the velocity-first order of velocity_first,
+which has no zero pivot; they are solved many times each, with one
+triangular solve.
 
 Full GMRES: one Arnoldi cycle of at most max_iter steps, modified
 Gram-Schmidt with Givens updates of the Hessenberg factor. The Arnoldi
@@ -33,58 +33,105 @@ class FactorizationError(Exception):
     pass
 
 
+def velocity_first(A, order=None):
+    """Symmetric elimination order of A in which no diagonal pivot is zero
+    (Tuma, SIAM J. Matrix Anal. Appl. 23, 2002; de Niet and Wubs, IMA J.
+    Numer. Anal. 29, 2009).
+
+    order is a base order (order[k] the k-th row, default natural); entries
+    past A's size are dropped and rows it misses rank last, by index. Let
+    pi be the base rank. Rows with a nonzero diagonal (velocities,
+    multipliers, fixed dofs) keep their base order. Each column j of them
+    selects its coupled zero-diagonal row of smallest pi, and each such row
+    p (a pressure) goes right after the first column, by pi, that selects
+    it. A column couples its two element pressures with opposite signs, so
+    the coupling block restricted to these pairs is triangular in pi-order
+    with a nonzero diagonal, and every leading block of the permuted matrix
+    is nonsingular. Zero-diagonal rows coupled to no nonzero-diagonal column
+    (the mean-pressure border) go next, and the pressures no column selects
+    (one per floating component) go last.
+    """
+    n = A.shape[0]
+    base = np.arange(n) if order is None else np.asarray(order, dtype=np.int64)
+    base = base[base < n]
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.concatenate([base, np.setdiff1d(np.arange(n), base)])] = np.arange(n)
+    zero = A.diagonal() == 0
+    C = sp.coo_matrix(A)
+    keep = zero[C.row] & ~zero[C.col] & (C.data != 0)
+    r, c = C.row[keep], C.col[keep]
+    # per column: its zero-diagonal row of smallest rank
+    s = np.lexsort((rank[r], c))
+    sr, sc = r[s], c[s]
+    head = np.diff(sc, prepend=-1) != 0
+    sr, sc = sr[head], sc[head]
+    # per selected row: the first column, by rank, that selects it
+    s = np.lexsort((rank[sc], sr))
+    p, j = sr[s], sc[s]
+    head = np.diff(p, prepend=-1) != 0
+    p, j = p[head], j[head]
+    key = 2 * rank
+    key[zero] = 4 * n + rank[zero]
+    border = zero.copy()
+    border[r] = False
+    key[border] = 2 * n + rank[border]
+    key[p] = 2 * rank[j] + 1
+    return np.argsort(key)
+
+
 class Factorization:
-    """Sparse LU (SuperLU) of a regularised copy, refined against the matrix.
+    """Sparse LU (SuperLU) with diagonal pivots in a given symmetric order.
 
-    The zero diagonal of A (the pressure block and the mean-pressure border)
-    is shifted by -1e-12 max|A|. That makes the saddle point quasi-definite,
+    refine=True (a system solved once, the global reference solve): the
+    zero diagonal of A (the pressure block and the mean-pressure border) is
+    shifted by -1e-12 max|A|. That makes the saddle point quasi-definite,
     so diagonal pivots exist for any symmetric ordering, and SuperLU keeps
-    the one it is given; a minimum-degree ordering of A + A^T with diagonal
-    pivots stores about half the fill of column ordering with partial
-    pivoting. The unshifted A is kept (CSR) for the residual of the
-    refinement.
+    the one it is given. order (a permutation of range(n), order[k] the
+    k-th eliminated row) is that ordering; order=None orders by minimum
+    degree on A + A^T. The reference solve passes the mesh's nested
+    dissection, which halves its fill at n = 32 and cuts it 2.7x at
+    n = 128. The unshifted A is kept (CSR), and solve() refines against it
+    while the residual at least halves; it raises FactorizationError if the
+    residual stays above 1e-10 ||b||.
 
-    order (a permutation of range(n), order[k] the k-th eliminated row):
-    factor the shifted copy permuted symmetrically by order, in that order
-    (SuperLU's NATURAL); solve() permutes the vectors, not the matrix.
-    order=None orders by minimum degree on A + A^T. The reference solve
-    passes the mesh's nested dissection, which halves its fill at n = 32 and
-    cuts it 2.7x at n = 128. The Schwarz local factors keep minimum degree:
-    the mesh order restricted to a subdomain stores less fill there too (RAS
-    4x4 at n = 32: 755k against 786k summed), but one apply's local solves
-    take about 9% longer at n = 32, and GMRES repeats the applies.
+    refine=False (the Schwarz local factors, solved many times each): A
+    itself is factored, unshifted, in velocity_first(A, order), whose
+    leading blocks are all nonsingular, so one triangular solve is exact to
+    round-off and solve() is a fixed linear operator. The Schwarz builders
+    pass the mesh's nested dissection restricted to the subdomain as the
+    base order. Set-up solves A x = ones and raises FactorizationError when
+    the relative residual exceeds 1e-10 or max|A| ||x||_inf (a lower bound
+    on the condition number) exceeds 1e14.
 
-    refine=True (a system solved once, such as the global reference):
-    solve() refines while the residual at least halves and raises
-    FactorizationError if it stays above 1e-10 ||b||.
-    refine=False (the Schwarz local factors): solve() takes exactly one
-    refinement step, x = LU^{-1} b; x += LU^{-1} (b - A x), a fixed linear
-    operator exact to round-off. Set-up solves A x = ones and raises
-    FactorizationError when the relative residual exceeds 1e-8 or
-    max|A| ||x||_inf (a lower bound on the condition number) exceeds 1e14.
+    solve() permutes the vectors, not the matrix.
     """
 
     def __init__(self, A, refine=False, order=None):
         A = sp.csr_matrix(A)
         if A.shape[0] != A.shape[1]:
             raise FactorizationError("matrix must be square")
-        self._A, self._refine, self.n = A, refine, A.shape[0]
-        self._order = None if order is None else np.asarray(order, dtype=np.int64)
+        self._refine, self.n = refine, A.shape[0]
         scale = np.abs(A.data).max() if A.nnz else 0.0
-        z = np.flatnonzero(A.diagonal() == 0)
-        shifted = A.tocsc() + sp.csc_matrix(
-            (np.full(len(z), -1e-12 * scale), (z, z)), shape=A.shape)
-        spec = "MMD_AT_PLUS_A"
+        M, spec = A.tocsc(), "NATURAL"
+        if refine:
+            self._A = A
+            z = np.flatnonzero(A.diagonal() == 0)
+            M = M + sp.csc_matrix((np.full(len(z), -1e-12 * scale), (z, z)), shape=A.shape)
+            if order is None:
+                spec = "MMD_AT_PLUS_A"
+        else:
+            order = velocity_first(A, order)
+        self._order = None if order is None else np.asarray(order, dtype=np.int64)
         if order is not None:
             # the symmetric permutation in one copy: move the columns, renumber the rows
-            shifted, spec = shifted[:, self._order], "NATURAL"
-            rank = np.empty(self.n, dtype=shifted.indices.dtype)
+            M = M[:, self._order]
+            rank = np.empty(self.n, dtype=M.indices.dtype)
             rank[self._order] = np.arange(self.n)
-            shifted.indices = rank[shifted.indices]
-            shifted.has_sorted_indices = False
-            shifted.sort_indices()
+            M.indices = rank[M.indices]
+            M.has_sorted_indices = False
+            M.sort_indices()
         try:
-            self._lu = spla.splu(shifted, permc_spec=spec,
+            self._lu = spla.splu(M, permc_spec=spec,
                                  diag_pivot_thresh=0.0, options={"SymmetricMode": True})
         except RuntimeError as err:
             raise FactorizationError(f"sparse LU failed: {err}") from err
@@ -92,7 +139,7 @@ class Factorization:
             b = np.ones(self.n)
             x = self.solve(b)
             res = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
-            if not (res <= 1e-8 and scale * np.abs(x).max() <= 1e14):
+            if not (res <= 1e-10 and scale * np.abs(x).max() <= 1e14):
                 raise FactorizationError("matrix is singular to working precision")
 
     def _lu_solve(self, b):
@@ -105,9 +152,9 @@ class Factorization:
     def solve(self, b):
         b = np.asarray(b, dtype=float)
         x = self._lu_solve(b)
-        r = b - self._A @ x
         if not self._refine:
-            return x + self._lu_solve(r)
+            return x
+        r = b - self._A @ x
         # x += LU^{-1} (b - A x) while the residual at least halves, up to
         # 10 solves; keep the iterate with the smallest residual
         res = np.linalg.norm(r)

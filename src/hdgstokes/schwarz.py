@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .fem_space import NVTF, TVNF, edge_dofs, trace_dofs, vertex_field_at_dofs
+from .fem_space import (NVTF, TVNF, dissection_order, edge_dofs, trace_dofs,
+                        vertex_field_at_dofs)
 from .krylov import Factorization, FactorizationError
 
 
@@ -39,6 +40,7 @@ class Decomposition:
     l: int
     dofs: list = None     # sorted global dof indices per subdomain
     weights: list = None  # partition-of-unity diagonal per subdomain
+    ranks: list = None    # rank of each subdomain dof in the mesh's dissection order
 
 
 def parse_strategy(strategy):
@@ -158,8 +160,12 @@ def subdomain_dofs(T, dm, elems):
 
 
 def partition_of_unity(dec, T, dm):
-    """Fill dec.dofs and dec.weights; the weights of each dof sum to 1."""
+    """Fill dec.dofs, dec.weights and dec.ranks; the weights of each dof sum
+    to 1, and the ranks are the base order of the local factors."""
     dec.dofs = [subdomain_dofs(T, dm, dec.elems[i]) for i in range(dec.n_parts)]
+    rank = np.empty(dm.n_total, dtype=np.int64)
+    rank[dissection_order(T, dm)] = np.arange(dm.n_total)
+    dec.ranks = [rank[d] for d in dec.dofs]
 
     raw = []
     denom = np.zeros(dm.n_total)
@@ -198,15 +204,17 @@ class SchwarzPreconditioner:
 def build_ras(A, dec):
     """Restricted additive Schwarz: factorise R_i A R_i^T per subdomain.
 
-    For an NVTF system every subdomain ends with the mean-pressure border
-    dof; the minimum-degree ordering of Factorization keeps it from filling
-    the factor. A CSR A gives CSR slices, which Factorization keeps as is.
+    Each local matrix is factored unshifted in the velocity-first order of
+    krylov.velocity_first, based on the mesh's nested dissection restricted
+    to the subdomain (dec.ranks). For an NVTF system every subdomain ends
+    with the mean-pressure border dof, which that order eliminates just
+    before the last pressure, so it does not fill the factor.
     """
     factors = []
     for i in range(dec.n_parts):
         try:
             dofs = dec.dofs[i]
-            factors.append(Factorization(A[dofs, :][:, dofs]))
+            factors.append(Factorization(A[dofs, :][:, dofs], order=np.argsort(dec.ranks[i])))
         except FactorizationError as err:
             raise FactorizationError(f"RAS subdomain {i}: {err}") from err
     return SchwarzPreconditioner(dofs=dec.dofs, weights=dec.weights, factors=factors)
@@ -271,13 +279,16 @@ def mras_local_matrix(sysm, T, dec, i, ic):
 def build_mras(sysm, T, dec, ic):
     """Modified RAS: the local matrices re-discretise the problem on each
     subdomain with TVNF or NVTF conditions on the interface (the subdomain
-    boundary away from Gamma); see mras_local_matrix."""
+    boundary away from Gamma); see mras_local_matrix. The local factors are
+    ordered as in build_ras; a local border row past the subdomain's dofs
+    ranks last in the base order."""
     if ic not in (TVNF, NVTF):
         raise ValueError(f"unknown interface condition {ic!r}")
     factors = []
     for i in range(dec.n_parts):
         try:
-            factors.append(Factorization(mras_local_matrix(sysm, T, dec, i, ic)))
+            factors.append(Factorization(mras_local_matrix(sysm, T, dec, i, ic),
+                                         order=np.argsort(dec.ranks[i])))
         except FactorizationError as err:
             raise FactorizationError(f"MRAS-{ic} subdomain {i}: {err}") from err
     return SchwarzPreconditioner(dofs=dec.dofs, weights=dec.weights, factors=factors)

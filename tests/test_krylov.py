@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hdgstokes.krylov import Factorization, FactorizationError, gmres, write_history_csv
+from hdgstokes import NVTF, TVNF, Triangulation, build_dof_map, generate
+from hdgstokes import schwarz, system, verify
+from hdgstokes.fem_space import dissection_order
+from hdgstokes.krylov import (Factorization, FactorizationError, gmres, velocity_first,
+                              write_history_csv)
 
 
 def test_lu_identity():
@@ -53,6 +57,125 @@ def test_lu_given_order_solves_nonsymmetric():
     for refine in (False, True):
         x = Factorization(sp.csr_matrix(M), refine=refine, order=order).solve(b)
         assert np.linalg.norm(M @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+# --- velocity-first order of the Schwarz local factors -----------------------
+
+def _full_rank(n, order):
+    """Rank of each row in a base order: rows past n dropped, missing rows last."""
+    order = [i for i in order if i < n]
+    seen = set(order)
+    order += [i for i in range(n) if i not in seen]
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    return rank
+
+
+def _rule_by_loops(A, rank):
+    """velocity_first one column and one row at a time: (order, {pressure: column})."""
+    D = A.toarray()
+    zero = np.diag(D) == 0
+    by_rank = lambda idx: sorted(idx, key=lambda i: rank[i])
+    cols = by_rank(np.flatnonzero(~zero))
+    after = {}
+    for j in cols:
+        rows = [i for i in np.flatnonzero(D[:, j]) if zero[i]]
+        if rows:
+            after.setdefault(by_rank(rows)[0], j)
+    coupled = {i for i in np.flatnonzero(zero) if np.any(D[i, ~zero] != 0)}
+    order = []
+    for j in cols:
+        order += [j] + [p for p, c in after.items() if c == j]
+    order += by_rank(set(np.flatnonzero(zero)) - coupled)
+    order += by_rank(coupled - set(after))
+    return np.array(order), after
+
+
+def _schwarz_local_matrices():
+    """(local matrix, base order) of every RAS and MRAS subdomain: bubble (NVTF)
+    on 3x3 parts, whose MRAS-NVTF problems all float, and curl_trig (TVNF)
+    on 2x2 parts, whose MRAS-NVTF problems carry a border row past the dofs."""
+    for case, spec in [("bubble", "uniform:3x3"), ("curl_trig", "uniform:2x2")]:
+        ex = verify.catalogue(case)
+        T = generate("unit_square", 8)
+        dm = build_dof_map(T, ex.bc)
+        sysm = system.assemble(T, dm, f=ex.f, g=ex.g)
+        dec = schwarz.build_decomposition(T, dm, schwarz.decompose(T, spec), 1)
+        for i, dofs in enumerate(dec.dofs):
+            base = np.argsort(dec.ranks[i])
+            yield sysm.A[dofs, :][:, dofs], base
+            for ic in (TVNF, NVTF):
+                yield schwarz.mras_local_matrix(sysm, T, dec, i, ic), base
+
+
+def test_velocity_first_order_structure():
+    for K, base in _schwarz_local_matrices():
+        n = K.shape[0]
+        rank = _full_rank(n, base)
+        order = velocity_first(K, base)
+        assert np.array_equal(np.sort(order), np.arange(n))
+        ref, after = _rule_by_loops(K, rank)
+        assert np.array_equal(order, ref)
+        pos = np.empty(n, dtype=np.int64)
+        pos[order] = np.arange(n)
+        P = np.array(sorted(after, key=lambda p: rank[p]))
+        J = np.array([after[p] for p in P])
+        assert len(P) and np.array_equal(pos[P], pos[J] + 1)
+        # the coupling block on the matched pairs is lower triangular in
+        # pi-order: a column couples no matched pressure ranked before its own
+        B = K.toarray()[np.ix_(P, J)]
+        assert np.all(np.diag(B) != 0) and not np.triu(B, 1).any()
+
+
+def test_velocity_first_two_triangle_floating_border():
+    # NVTF on the whole boundary of two triangles: the two BDM dofs of the
+    # shared edge are the only velocities coupled to the pressures, with
+    # proportional coupling, and the border row pins the floating pressure
+    T = Triangulation(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+                      np.array([[0, 1, 3], [0, 3, 2]]))
+    dm = build_dof_map(T, NVTF)
+    A = system.assemble(T, dm).A
+    D = A.toarray()
+    n = len(D)
+    base = dissection_order(T, dm)
+    rank = _full_rank(n, base)
+    singular = lambda o: [k for k in range(1, n + 1)
+                          if np.linalg.matrix_rank(D[np.ix_(o[:k], o[:k])]) < k]
+    # each pressure right after its first coupled column, the border last
+    zero = np.diag(D) == 0
+    key = 2.0 * rank
+    for p in np.flatnonzero(zero):
+        cols = np.flatnonzero((D[p] != 0) & ~zero)
+        key[p] = 2 * rank[cols].min() + 1 if len(cols) else 4 * n
+    assert singular(np.argsort(key))
+    assert not singular(velocity_first(A, base))
+    b = np.ones(n)
+    x = Factorization(A, order=base).solve(b)
+    assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_local_factor_is_unshifted_and_solves_once():
+    # L U reproduces the permuted matrix itself, zero diagonal included (a
+    # -1e-12 max|A| shift would show), and solve() is one triangular solve
+    class Counted:
+        def __init__(self, lu):
+            self.lu, self.calls = lu, 0
+
+        def solve(self, b):
+            self.calls += 1
+            return self.lu.solve(b)
+
+    for K, base in _schwarz_local_matrices():
+        F = Factorization(K, order=base)
+        lu, n = F._lu, F.n
+        Pr = sp.csc_matrix((np.ones(n), (lu.perm_r, np.arange(n))))
+        Pc = sp.csc_matrix((np.ones(n), (np.arange(n), lu.perm_c)))
+        LU = (Pr.T @ (lu.L @ lu.U) @ Pc.T).toarray()
+        Kp = K.toarray()[np.ix_(F._order, F._order)]
+        assert np.abs(LU - Kp).max() <= 1e-14 * np.abs(Kp).max()
+        F._lu = Counted(lu)
+        F.solve(np.ones(n))
+        assert F._lu.calls == 1
 
 
 def test_gmres_identity_one_iteration():

@@ -198,19 +198,23 @@ def local_problems(sysm, T, dec, kind):
 @pytest.mark.parametrize("eps", [-1, 1])
 def test_ras_bordered_local_solves_match_full_lu(n, spec_, eps):
     # NVTF: every RAS local matrix keeps the mean-pressure border. Each RAS
-    # and MRAS local factor (regularised, one refinement step per solve) must
-    # solve like partial-pivot LU of its matrix
-    ex, T, dm, sysm = assembled("bubble", n, eps)
-    dec = schwarz.build_decomposition(T, dm, schwarz.decompose(T, spec_), 1)
-    assert all(d[-1] == dm.mean_constraint_dof for d in dec.dofs)
+    # and MRAS local factor (unshifted, one triangular solve, no refinement)
+    # must solve like partial-pivot LU of its matrix, for both global bc
+    # (curl_trig is TVNF: its floating MRAS-NVTF problems get a border row
+    # past the subdomain's dofs) and overlaps 1 and 2
     rng = np.random.default_rng(3)
-    for kind in ("ras", TVNF, NVTF):
-        pre, mats = local_problems(sysm, T, dec, kind)
-        for K, F in zip(mats, pre.factors):
-            assert F.n == K.shape[0]
-            r = rng.standard_normal(F.n)
-            ref = spla.splu(K.tocsc()).solve(r)
-            assert np.linalg.norm(F.solve(r) - ref) <= 1e-12 * np.linalg.norm(ref)
+    for case, l in [("bubble", 1), ("bubble", 2), ("curl_trig", 1), ("curl_trig", 2)]:
+        ex, T, dm, sysm = assembled(case, n, eps)
+        dec = schwarz.build_decomposition(T, dm, schwarz.decompose(T, spec_), l)
+        if dm.bc_kind == NVTF:
+            assert all(d[-1] == dm.mean_constraint_dof for d in dec.dofs)
+        for kind in ("ras", TVNF, NVTF):
+            pre, mats = local_problems(sysm, T, dec, kind)
+            for K, F in zip(mats, pre.factors):
+                assert F.n == K.shape[0]
+                r = rng.standard_normal(F.n)
+                ref = spla.splu(K.tocsc()).solve(r)
+                assert np.linalg.norm(F.solve(r) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_ras_bordered_local_fill_below_full_lu():
@@ -252,15 +256,19 @@ def test_ras_and_mras_coincide_for_single_subdomain():
 
 
 def test_preconditioner_apply_is_linear():
-    ex, T, dm, sysm = assembled("poiseuille", 8)
-    parts = schwarz.decompose(T, "uniform:2x2")
-    dec = schwarz.build_decomposition(T, dm, parts, 1)
-    pre = schwarz.build_ras(sysm.A, dec)
+    # RAS, and both MRAS variants on 3x3 parts of a bubble (NVTF) mesh, where
+    # every MRAS-NVTF local problem floats, the interior one on all sides
     rng = np.random.default_rng(2)
-    u, v = rng.standard_normal((2, dm.n_total))
-    lhs = pre.apply(2.5 * u + v)
-    rhs = 2.5 * pre.apply(u) + pre.apply(v)
-    assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(1.0, np.linalg.norm(rhs))
+    for case, spec_, kind in [("poiseuille", "uniform:2x2", "ras"),
+                              ("bubble", "uniform:3x3", TVNF),
+                              ("bubble", "uniform:3x3", NVTF)]:
+        ex, T, dm, sysm = assembled(case, 8)
+        dec = schwarz.build_decomposition(T, dm, schwarz.decompose(T, spec_), 1)
+        pre, _ = local_problems(sysm, T, dec, kind)
+        u, v = rng.standard_normal((2, dm.n_total))
+        lhs = pre.apply(2.5 * u + v)
+        rhs = 2.5 * pre.apply(u) + pre.apply(v)
+        assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(1.0, np.linalg.norm(rhs)), kind
 
 
 def test_mras_local_matrix_differs_only_on_interface_rows():
