@@ -45,9 +45,9 @@ def main():
         dec = build_decomposition(T, dm, parts, args.overlap)
         for kind in ("ras", "mras-tvnf", "mras-nvtf"):
             if kind == "ras":
-                pre = build_ras(sysm.A, dec)
+                pre = build_ras(sysm, dec)
             else:
-                pre = build_mras(sysm, T, dec, kind.split("-")[1])
+                pre = build_mras(sysm, dec, kind.split("-")[1])
             _, rep = gmres(lambda v: sysm.A @ v, sysm.rhs, x0=x0,
                            apply_M=pre.apply, tol=args.tol, x_ref=x_ref,
                            max_iter=400)

@@ -17,8 +17,7 @@ import numpy as np
 
 from . import krylov, mesh, schwarz, system, verify
 from .fem_space import build_dof_map
-
-CASE_BC = {"curl_trig": "tvnf", "bubble": "nvtf", "poiseuille": "tvnf"}
+from .verify import CASE_BC
 
 
 class UsageError(Exception):
@@ -160,10 +159,10 @@ def _validate(cfg):
 def _check_case(cfg):
     if cfg["case"] is None:
         raise UsageError("--case is required")
-    bc = cfg.get("bc") or CASE_BC[cfg["case"]]
-    if bc != CASE_BC[cfg["case"]]:
-        raise UsageError(f"case {cfg['case']} pairs with "
-                         f"{CASE_BC[cfg['case']].upper()} boundary conditions, not {bc}")
+    bc = CASE_BC[cfg["case"]]
+    if cfg.get("bc") not in (None, bc):
+        raise UsageError(f"case {cfg['case']} pairs with {bc.upper()} boundary "
+                         f"conditions, not {cfg['bc']}")
     cfg["bc"] = bc
     return cfg
 
@@ -231,9 +230,9 @@ def run_precond(cfg):
         dec = schwarz.build_decomposition(T, dm, parts, cfg["overlap"])
         n_parts = dec.n_parts
         if cfg["precond"] == "ras":
-            pre = schwarz.build_ras(sysm.A, dec)
+            pre = schwarz.build_ras(sysm, dec)
         else:
-            pre = schwarz.build_mras(sysm, T, dec, cfg["precond"].split("-")[1])
+            pre = schwarz.build_mras(sysm, dec, cfg["precond"].split("-")[1])
         apply_M = pre.apply
 
     if cfg["guess"] == "random":

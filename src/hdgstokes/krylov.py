@@ -8,7 +8,7 @@ shifted by -1e-12 max|A|, ordered by a nested dissection of the mesh
 until the residual stops falling. The Schwarz local factors (refine=False)
 factor the matrix itself, in the velocity-first order of velocity_first,
 which has no zero pivot; they are solved many times each, with one
-triangular solve.
+triangular solve, after a set-up check that bounds a backward error.
 
 Full GMRES: one Arnoldi cycle of at most max_iter steps, modified
 Gram-Schmidt with Givens updates of the Hessenberg factor. The Arnoldi
@@ -99,9 +99,10 @@ class Factorization:
     leading blocks are all nonsingular, so one triangular solve is exact to
     round-off and solve() is a fixed linear operator. The Schwarz builders
     pass the mesh's nested dissection restricted to the subdomain as the
-    base order. Set-up solves A x = ones and raises FactorizationError when
-    the relative residual exceeds 1e-10 or max|A| ||x||_inf (a lower bound
-    on the condition number) exceeds 1e14.
+    base order. Set-up solves A x = 1 and raises FactorizationError when
+    the backward error ||1 - A x||_inf / (||A||_inf ||x||_inf + 1), which
+    unlike the residual does not grow with conditioning (Higham 2002, 7.1),
+    exceeds 1e-12, or max|A| ||x||_inf (a condition bound) exceeds 1e14.
 
     solve() permutes the vectors, not the matrix.
     """
@@ -136,10 +137,10 @@ class Factorization:
         except RuntimeError as err:
             raise FactorizationError(f"sparse LU failed: {err}") from err
         if not refine:
-            b = np.ones(self.n)
-            x = self.solve(b)
-            res = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
-            if not (res <= 1e-10 and scale * np.abs(x).max() <= 1e14):
+            x = self.solve(np.ones(self.n))
+            xmax = np.abs(x).max()
+            backward = np.abs(1 - A @ x).max() / (abs(A).sum(axis=1).max() * xmax + 1)
+            if not (backward <= 1e-12 and scale * xmax <= 1e14):
                 raise FactorizationError("matrix is singular to working precision")
 
     def _lu_solve(self, b):

@@ -1,5 +1,9 @@
 """Overlapping decompositions, partition of unity, RAS and MRAS preconditioners.
 
+build_ras(sysm, dec) and build_mras(sysm, dec, ic) differ only in the local
+matrix; both order its factor by krylov.velocity_first from sysm.order
+restricted to the subdomain.
+
 Overlap growth follows vertex adjacency: one layer adds every triangle
 sharing at least one vertex with the current set. The partition of unity
 interpolates normalised piecewise-linear subdomain indicators at the dof
@@ -27,20 +31,21 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .fem_space import (NVTF, TVNF, dissection_order, edge_dofs, trace_dofs,
-                        vertex_field_at_dofs)
+from .fem_space import NVTF, TVNF, edge_dofs, trace_dofs, vertex_field_at_dofs
 from .krylov import Factorization, FactorizationError
+from .system import constrained_matrix, element_triplets
 
 
-@dataclass
+@dataclass(frozen=True)
 class Decomposition:
-    n_parts: int
-    elems0: list          # non-overlapping triangle sets
-    elems: list           # overlapped triangle sets
-    l: int
-    dofs: list = None     # sorted global dof indices per subdomain
-    weights: list = None  # partition-of-unity diagonal per subdomain
-    ranks: list = None    # rank of each subdomain dof in the mesh's dissection order
+    elems0: list   # non-overlapping triangle sets
+    elems: list    # overlapped triangle sets
+    dofs: list     # sorted global dof indices per subdomain
+    weights: list  # partition-of-unity diagonal per subdomain
+
+    @property
+    def n_parts(self):
+        return len(self.elems)
 
 
 def parse_strategy(strategy):
@@ -132,22 +137,22 @@ def partition_from_file(T, path):
 
 
 def add_overlap(T, parts, l):
-    """Grow each part by l rounds of vertex-adjacent triangles."""
+    """Grow each part by l rounds of vertex-adjacent triangles; returns the
+    non-overlapping and the overlapped triangle sets (elems0, elems)."""
     if l < 1:
         raise ValueError("overlap l must be at least 1 (partition-of-unity support)")
-    n_parts = int(parts.max()) + 1
     nt = T.n_triangles
     # vertex-triangle incidence: (Inc @ cur) > 0 marks the vertices of a triangle set
     Inc = sp.csr_matrix((np.ones(3 * nt), (T.triangles.ravel(), np.repeat(np.arange(nt), 3))),
                         shape=(T.n_vertices, nt))
     elems0, elems = [], []
-    for i in range(n_parts):
+    for i in range(int(parts.max()) + 1):
         cur = parts == i
         elems0.append(np.flatnonzero(cur))
         for _ in range(l):
             cur = Inc.T @ (Inc @ cur) > 0
         elems.append(np.flatnonzero(cur))
-    return Decomposition(n_parts=n_parts, elems0=elems0, elems=elems, l=l)
+    return elems0, elems
 
 
 def subdomain_dofs(T, dm, elems):
@@ -159,30 +164,22 @@ def subdomain_dofs(T, dm, elems):
     return np.sort(np.concatenate(parts))
 
 
-def partition_of_unity(dec, T, dm):
-    """Fill dec.dofs, dec.weights and dec.ranks; the weights of each dof sum
-    to 1, and the ranks are the base order of the local factors."""
-    dec.dofs = [subdomain_dofs(T, dm, dec.elems[i]) for i in range(dec.n_parts)]
-    rank = np.empty(dm.n_total, dtype=np.int64)
-    rank[dissection_order(T, dm)] = np.arange(dm.n_total)
-    dec.ranks = [rank[d] for d in dec.dofs]
-
+def build_decomposition(T, dm, parts, l):
+    """The parts grown by l overlap layers, with their dofs and their
+    partition-of-unity weights, which sum to 1 at every dof."""
+    elems0, elems = add_overlap(T, parts, l)
+    dofs = [subdomain_dofs(T, dm, e) for e in elems]
     raw = []
     denom = np.zeros(dm.n_total)
-    for i in range(dec.n_parts):
+    for e0, d in zip(elems0, dofs):
         flag = np.zeros(T.n_vertices)
-        flag[T.triangles[dec.elems0[i]].ravel()] = 1.0
+        flag[T.triangles[e0].ravel()] = 1.0
         vals = np.ones(dm.n_total)  # the NVTF constraint dof keeps indicator 1
         vals[:dm.n_geometric] = vertex_field_at_dofs(T, dm, flag)
-        v_i = vals[dec.dofs[i]]
-        raw.append(v_i)
-        np.add.at(denom, dec.dofs[i], v_i)
-    dec.weights = [raw[i] / denom[dec.dofs[i]] for i in range(dec.n_parts)]
-    return dec
-
-
-def build_decomposition(T, dm, parts, l):
-    return partition_of_unity(add_overlap(T, parts, l), T, dm)
+        raw.append(vals[d])
+        np.add.at(denom, d, raw[-1])
+    weights = [w / denom[d] for w, d in zip(raw, dofs)]
+    return Decomposition(elems0=elems0, elems=elems, dofs=dofs, weights=weights)
 
 
 @dataclass
@@ -201,23 +198,24 @@ class SchwarzPreconditioner:
         return out
 
 
-def build_ras(A, dec):
-    """Restricted additive Schwarz: factorise R_i A R_i^T per subdomain.
-
-    Each local matrix is factored unshifted in the velocity-first order of
-    krylov.velocity_first, based on the mesh's nested dissection restricted
-    to the subdomain (dec.ranks). For an NVTF system every subdomain ends
-    with the mean-pressure border dof, which that order eliminates just
-    before the last pressure, so it does not fill the factor.
-    """
+def _factor_locals(sysm, dec, local_matrix, label):
+    """Factors of local_matrix(i), based on sysm.order restricted to subdomain
+    i (a border row past its dofs ranks last); errors name label and i."""
+    rank = np.argsort(sysm.order)
     factors = []
-    for i in range(dec.n_parts):
+    for i, dofs in enumerate(dec.dofs):
         try:
-            dofs = dec.dofs[i]
-            factors.append(Factorization(A[dofs, :][:, dofs], order=np.argsort(dec.ranks[i])))
+            factors.append(Factorization(local_matrix(i), order=np.argsort(rank[dofs])))
         except FactorizationError as err:
-            raise FactorizationError(f"RAS subdomain {i}: {err}") from err
+            raise FactorizationError(f"{label} subdomain {i}: {err}") from err
     return SchwarzPreconditioner(dofs=dec.dofs, weights=dec.weights, factors=factors)
+
+
+def build_ras(sysm, dec):
+    """Restricted additive Schwarz: factorise R_i A R_i^T per subdomain. With
+    NVTF each ends with the mean-pressure border dof, which the velocity-first
+    order eliminates just before the last pressure, so it does not fill."""
+    return _factor_locals(sysm, dec, lambda i: sysm.A[dec.dofs[i], :][:, dec.dofs[i]], "RAS")
 
 
 def interface_edges(T, elems):
@@ -231,7 +229,7 @@ def interface_edges(T, elems):
         np.flatnonzero(local_bnd & T.boundary_edge)
 
 
-def mras_local_matrix(sysm, T, dec, i, ic):
+def mras_local_matrix(sysm, dec, i, ic):
     """Local matrix B_i of the MRAS preconditioner (CSR).
 
     B_i is the global assembly restricted to the elements of subdomain i, so
@@ -247,9 +245,7 @@ def mras_local_matrix(sysm, T, dec, i, ic):
     one row past the subdomain's dofs for TVNF. Otherwise an NVTF constraint
     dof passes through as identity.
     """
-    from .system import constrained_matrix, element_triplets
-
-    dm = sysm.dofmap
+    T, dm = sysm.mesh, sysm.dofmap
     dofs = dec.dofs[i]
     m = len(dofs)
     elems = dec.elems[i]
@@ -276,19 +272,12 @@ def mras_local_matrix(sysm, T, dec, i, ic):
                               vals, fixed, border)
 
 
-def build_mras(sysm, T, dec, ic):
+def build_mras(sysm, dec, ic):
     """Modified RAS: the local matrices re-discretise the problem on each
     subdomain with TVNF or NVTF conditions on the interface (the subdomain
-    boundary away from Gamma); see mras_local_matrix. The local factors are
-    ordered as in build_ras; a local border row past the subdomain's dofs
-    ranks last in the base order."""
+    boundary away from Gamma); see mras_local_matrix."""
     if ic not in (TVNF, NVTF):
         raise ValueError(f"unknown interface condition {ic!r}")
-    factors = []
-    for i in range(dec.n_parts):
-        try:
-            factors.append(Factorization(mras_local_matrix(sysm, T, dec, i, ic),
-                                         order=np.argsort(dec.ranks[i])))
-        except FactorizationError as err:
-            raise FactorizationError(f"MRAS-{ic} subdomain {i}: {err}") from err
-    return SchwarzPreconditioner(dofs=dec.dofs, weights=dec.weights, factors=factors)
+    # through the module global, so a replaced mras_local_matrix is the one called
+    return _factor_locals(sysm, dec, lambda i: mras_local_matrix(sysm, dec, i, ic),
+                          f"MRAS-{ic}")

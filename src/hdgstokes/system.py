@@ -6,15 +6,20 @@ Essential conditions are applied by symmetric row/column elimination to
 identity; prescribed nonzero values are lifted into the right hand side.
 With NVTF boundary conditions one bordered row/column enforces the
 zero-mean pressure constraint (entries: triangle areas).
+
+AssembledSystem is all the later stages take; its order (the mesh's nested
+dissection) is computed once and orders the reference and Schwarz factors.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
 from .fem_space import NVTF, TVNF, DofMap, dissection_order, element_dofs, trace_dofs
+from .krylov import Factorization
 from .local_assembly import ElementStack, edge_load, local_a, local_b, local_load
 from .mesh import Triangulation
 
@@ -27,7 +32,12 @@ class AssembledSystem:
     nu: float
     tau: float
     eps: int
-    mesh: Triangulation  # the mesh assembled on; orders the reference factor
+    mesh: Triangulation  # the mesh assembled on
+
+    @cached_property
+    def order(self):
+        """fem_space.dissection_order of the mesh, computed on first use."""
+        return dissection_order(self.mesh, self.dofmap)
 
 
 def element_triplets(T, dm, nu, tau, eps, elems=None, rhs=None, f=None):
@@ -132,12 +142,9 @@ def manufactured_data(exact, nu, bc):
 
 def solve_direct(system):
     """Reference solve: sparse LU of a regularised copy of A in the nested
-    dissection order of the mesh, refined against A (krylov.Factorization
-    with refine=True)."""
-    from .krylov import Factorization
-
-    order = dissection_order(system.mesh, system.dofmap)
-    return Factorization(system.A, refine=True, order=order).solve(system.rhs)
+    dissection order of the mesh (system.order), refined against A
+    (krylov.Factorization with refine=True)."""
+    return Factorization(system.A, refine=True, order=system.order).solve(system.rhs)
 
 
 def dump_matrix(system, path):

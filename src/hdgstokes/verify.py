@@ -98,8 +98,13 @@ def _stream_case(name, bc, nu, A, G, dG, d2G, d3G, p, grad_p):
     return exact
 
 
+# the boundary conditions each manufactured case is posed with
+CASE_BC = {"curl_trig": TVNF, "bubble": NVTF, "poiseuille": TVNF}
+
+
 def catalogue(name, nu=1.0):
-    """Manufactured cases: curl_trig (TVNF), bubble (NVTF), poiseuille (TVNF)."""
+    """Manufactured cases, each with its boundary conditions (CASE_BC)."""
+    bc = CASE_BC.get(name)
     if name == "curl_trig":
         G, dG, d2G, d3G = _curl_trig_factors()
 
@@ -110,7 +115,7 @@ def catalogue(name, nu=1.0):
             s = 1 + np.tan(x * y) ** 2
             return np.stack([s * y, s * x], axis=-1)
 
-        return _stream_case("curl_trig", TVNF, nu, 100.0, G, dG, d2G, d3G, p, grad_p)
+        return _stream_case("curl_trig", bc, nu, 100.0, G, dG, d2G, d3G, p, grad_p)
 
     if name == "bubble":
         def q(t):
@@ -132,7 +137,7 @@ def catalogue(name, nu=1.0):
             one = np.ones_like(np.asarray(x, dtype=float))
             return np.stack([one, -one], axis=-1)
 
-        return _stream_case("bubble", NVTF, nu, 1.0, q, dq, d2q, d3q, p, grad_p)
+        return _stream_case("bubble", bc, nu, 1.0, q, dq, d2q, d3q, p, grad_p)
 
     if name == "poiseuille":
         def u(x, y):
@@ -155,9 +160,9 @@ def catalogue(name, nu=1.0):
             z = np.zeros_like(np.asarray(x, dtype=float))
             return np.stack([z - 8, z], axis=-1)
 
-        exact = ExactSolution(name="poiseuille", bc=TVNF, nu=nu, u=u, grad_u=grad_u,
+        exact = ExactSolution(name="poiseuille", bc=bc, nu=nu, u=u, grad_u=grad_u,
                               p=p, lap_u=lap_u, grad_p=grad_p)
-        exact.f, exact.g = manufactured_data(exact, nu, TVNF)
+        exact.f, exact.g = manufactured_data(exact, nu, bc)
         return exact
 
     raise ValueError(f"unknown exact solution {name!r}")

@@ -156,7 +156,7 @@ def test_criterion_7_preconditioner_sanity():
     sysm = system_mod.assemble(T, dm, f=exact.f, g=exact.g)
     x_ref = solve_direct(sysm)
     dec1 = build_decomposition(T, dm, np.zeros(dm.n_tris, dtype=int), 1)
-    pre1 = build_ras(sysm.A, dec1)
+    pre1 = build_ras(sysm, dec1)
     _, rep1 = gmres(lambda v: sysm.A @ v, sysm.rhs, apply_M=pre1.apply,
                     tol=1e-6, x_ref=x_ref, max_iter=10)
 
@@ -168,7 +168,7 @@ def test_criterion_7_preconditioner_sanity():
     rng = np.random.default_rng(0)
     x0 = rng.standard_normal(dm.n_total)
     dec = build_decomposition(T, dm, decompose(T, "uniform:2x2"), 1)
-    pre = build_ras(sysm.A, dec)
+    pre = build_ras(sysm, dec)
     _, rep_ras = gmres(lambda v: sysm.A @ v, sysm.rhs, x0=x0, apply_M=pre.apply,
                        tol=1e-6, x_ref=x_ref, max_iter=600)
     _, rep_raw = gmres(lambda v: sysm.A @ v, sysm.rhs, x0=x0,
@@ -193,9 +193,9 @@ def test_criterion_8_mras_superiority_trend():
         dec = build_decomposition(T, dm, decompose(T, spec), 1)
         for kind in ("ras", "mras-tvnf", "mras-nvtf"):
             if kind == "ras":
-                pre = build_ras(sysm.A, dec)
+                pre = build_ras(sysm, dec)
             else:
-                pre = build_mras(sysm, T, dec, kind.split("-")[1])
+                pre = build_mras(sysm, dec, kind.split("-")[1])
             _, rep = gmres(lambda v: sysm.A @ v, sysm.rhs, x0=x0,
                            apply_M=pre.apply, tol=1e-6, x_ref=x_ref, max_iter=400)
             counts[(spec, kind)] = rep.iterations

@@ -1,10 +1,11 @@
 import os
+import sys
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hdgstokes import mesh, schwarz
+from hdgstokes import fem_space, mesh, schwarz
 from hdgstokes.cli import main
 
 
@@ -81,6 +82,33 @@ def test_precond_single_subdomain(tmp_path):
     assert hist[0].startswith("# stop=vs_reference")
     assert "seed=3" in hist[0]
     assert len(hist) == 2 + int(iters)
+
+
+def test_precond_single_subdomain_factors_at_n64(tmp_path):
+    # the whole n = 64 NVTF matrix is nonsingular: the residual of its set-up
+    # solve grows with its conditioning (1.1e-10), its backward error does not
+    out = tmp_path / "p.csv"
+    assert main(["precond", "--case", "bubble", "--n", "64", "--parts", "uniform:1x1",
+                 "--precond", "ras", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[2] == "1,ras,1,1"
+
+
+@pytest.mark.parametrize("kind", ["ras", "mras-tvnf"])
+def test_precond_computes_dissection_order_once(monkeypatch, tmp_path, kind):
+    # one order serves the reference factor and every Schwarz local factor
+    calls = []
+    original = fem_space.dissection_order
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("hdgstokes") and getattr(mod, "dissection_order", None) is original:
+            monkeypatch.setattr(mod, "dissection_order", counted)
+    assert main(["precond", "--case", "bubble", "--n", "8", "--precond", kind,
+                 "--out", str(tmp_path / "p.csv")]) == 0
+    assert len(calls) == 1
 
 
 def test_precond_deterministic_output(tmp_path):

@@ -88,18 +88,18 @@ def test_overlap_requires_l_geq_1():
 
 def test_overlap_single_subdomain_unchanged():
     T = generate("unit_square", 4)
-    dec = schwarz.add_overlap(T, np.zeros(T.n_triangles, dtype=int), 1)
-    assert len(dec.elems[0]) == T.n_triangles
+    _, elems = schwarz.add_overlap(T, np.zeros(T.n_triangles, dtype=int), 1)
+    assert len(elems[0]) == T.n_triangles
 
 
 def test_overlap_grows_and_covers():
     T = generate("unit_square", 4)
     parts = schwarz.partition_uniform(T, 2, 2)
-    dec = schwarz.add_overlap(T, parts, 1)
+    elems0, elems = schwarz.add_overlap(T, parts, 1)
     union = set()
     for i in range(4):
-        assert len(dec.elems[i]) > len(dec.elems0[i])
-        union.update(dec.elems[i])
+        assert len(elems[i]) > len(elems0[i])
+        union.update(elems[i])
     assert union == set(range(T.n_triangles))
 
 
@@ -108,14 +108,14 @@ def test_overlap_matches_vertex_bfs_oracle():
     T = generate("unit_square", 4)
     parts = schwarz.partition_uniform(T, 2, 1)
     for l in (1, 2):
-        dec = schwarz.add_overlap(T, parts, l)
+        _, elems = schwarz.add_overlap(T, parts, l)
         own = np.flatnonzero(parts == 0)
         layer = set(own)
         for _ in range(l):
             verts = set(T.triangles[sorted(layer)].ravel())
             layer = {k for k in range(T.n_triangles)
                      if set(T.triangles[k]) & verts} | layer
-        assert set(dec.elems[0]) == layer
+        assert set(elems[0]) == layer
 
 
 # --- partition of unity ------------------------------------------------------
@@ -179,18 +179,18 @@ def test_every_dof_in_some_subdomain_and_extension_transpose():
 def test_ras_single_subdomain_is_exact_inverse():
     ex, T, dm, sysm = assembled("bubble", 4)
     dec = schwarz.build_decomposition(T, dm, np.zeros(dm.n_tris, dtype=int), 1)
-    pre = schwarz.build_ras(sysm.A, dec)
+    pre = schwarz.build_ras(sysm, dec)
     x, rep = krylov.gmres(lambda v: sysm.A @ v, sysm.rhs, apply_M=pre.apply,
                           tol=1e-10, max_iter=10)
     assert rep.converged and rep.iterations <= 2
 
 
-def local_problems(sysm, T, dec, kind):
+def local_problems(sysm, dec, kind):
     """(preconditioner, local matrices) for kind 'ras', TVNF or NVTF."""
     if kind == "ras":
-        return (schwarz.build_ras(sysm.A, dec), [sysm.A[d, :][:, d] for d in dec.dofs])
-    return (schwarz.build_mras(sysm, T, dec, kind),
-            [schwarz.mras_local_matrix(sysm, T, dec, i, kind) for i in range(dec.n_parts)])
+        return (schwarz.build_ras(sysm, dec), [sysm.A[d, :][:, d] for d in dec.dofs])
+    return (schwarz.build_mras(sysm, dec, kind),
+            [schwarz.mras_local_matrix(sysm, dec, i, kind) for i in range(dec.n_parts)])
 
 
 @pytest.mark.parametrize("n", [8, 16])
@@ -209,7 +209,7 @@ def test_ras_bordered_local_solves_match_full_lu(n, spec_, eps):
         if dm.bc_kind == NVTF:
             assert all(d[-1] == dm.mean_constraint_dof for d in dec.dofs)
         for kind in ("ras", TVNF, NVTF):
-            pre, mats = local_problems(sysm, T, dec, kind)
+            pre, mats = local_problems(sysm, dec, kind)
             for K, F in zip(mats, pre.factors):
                 assert F.n == K.shape[0]
                 r = rng.standard_normal(F.n)
@@ -223,7 +223,7 @@ def test_ras_bordered_local_fill_below_full_lu():
     ex, T, dm, sysm = assembled("bubble", 32)
     for spec_, kind in [("uniform:4x4", "ras"), ("uniform:2x2", TVNF)]:
         dec = schwarz.build_decomposition(T, dm, schwarz.decompose(T, spec_), 1)
-        pre, mats = local_problems(sysm, T, dec, kind)
+        pre, mats = local_problems(sysm, dec, kind)
         plain = sum(spla.splu(K.tocsc()).nnz for K in mats)
         assert sum(F._lu.nnz for F in pre.factors) < 0.7 * plain, kind
 
@@ -233,7 +233,7 @@ def test_ras_whole_mesh_subdomains_keep_full_factor():
     # without the border is singular (constant pressure), so the border stays
     ex, T, dm, sysm = assembled("bubble", 2)
     dec = schwarz.build_decomposition(T, dm, schwarz.decompose(T, "uniform:2x2"), 3)
-    pre = schwarz.build_ras(sysm.A, dec)
+    pre = schwarz.build_ras(sysm, dec)
     assert all(type(F) is krylov.Factorization and F.n == dm.n_total
                for F in pre.factors)
     _, rep = krylov.gmres(lambda v: sysm.A @ v, sysm.rhs, apply_M=pre.apply,
@@ -244,10 +244,10 @@ def test_ras_whole_mesh_subdomains_keep_full_factor():
 def test_ras_and_mras_coincide_for_single_subdomain():
     ex, T, dm, sysm = assembled("bubble", 4)
     dec = schwarz.build_decomposition(T, dm, np.zeros(dm.n_tris, dtype=int), 1)
-    ras = schwarz.build_ras(sysm.A, dec)
+    ras = schwarz.build_ras(sysm, dec)
     rng = np.random.default_rng(1)
     for ic in (TVNF, NVTF):
-        mras = schwarz.build_mras(sysm, T, dec, ic)
+        mras = schwarz.build_mras(sysm, dec, ic)
         assert [F.n for F in mras.factors] == [len(d) for d in mras.dofs]
         for _ in range(5):
             v = rng.standard_normal(dm.n_total)
@@ -264,7 +264,7 @@ def test_preconditioner_apply_is_linear():
                               ("bubble", "uniform:3x3", NVTF)]:
         ex, T, dm, sysm = assembled(case, 8)
         dec = schwarz.build_decomposition(T, dm, schwarz.decompose(T, spec_), 1)
-        pre, _ = local_problems(sysm, T, dec, kind)
+        pre, _ = local_problems(sysm, dec, kind)
         u, v = rng.standard_normal((2, dm.n_total))
         lhs = pre.apply(2.5 * u + v)
         rhs = 2.5 * pre.apply(u) + pre.apply(v)
@@ -277,7 +277,7 @@ def test_mras_local_matrix_differs_only_on_interface_rows():
     dec = schwarz.build_decomposition(T, dm, parts, 1)
     for ic in (TVNF, NVTF):
         i = 0
-        B = schwarz.mras_local_matrix(sysm, T, dec, i, ic)
+        B = schwarz.mras_local_matrix(sysm, dec, i, ic)
         dofs = dec.dofs[i]
         assert B.shape == (len(dofs), len(dofs))
         S = sysm.A[dofs, :][:, dofs].tocsc()
@@ -304,7 +304,7 @@ def test_mras_floating_subdomain_augmented():
     ex, T, dm, sysm = assembled("poiseuille", 12)
     parts = schwarz.decompose(T, "uniform:3x3")
     dec = schwarz.build_decomposition(T, dm, parts, 1)
-    pre = schwarz.build_mras(sysm, T, dec, NVTF)
+    pre = schwarz.build_mras(sysm, dec, NVTF)
     augmented = [F.n > len(d) for F, d in zip(pre.factors, pre.dofs)]
     assert sum(augmented) == 1
     gamma_counts = [len(schwarz.interface_edges(T, dec.elems[i])[1])
@@ -332,7 +332,7 @@ def test_mras_local_matrix_matches_standalone_assembly(case, n, spec_, l):
         Ti = Triangulation(T.vertices[verts], local.reshape(tris.shape))
         ref = system.assemble(Ti, build_dof_map(Ti, ex.bc), nu=sysm.nu,
                               tau=sysm.tau, eps=sysm.eps).A
-        B = schwarz.mras_local_matrix(sysm, T, dec, i, ex.bc).tocsr()
+        B = schwarz.mras_local_matrix(sysm, dec, i, ex.bc).tocsr()
         B.sort_indices()
         assert B.shape == ref.shape == (len(dec.dofs[i]),) * 2
         assert np.array_equal(B.indptr, ref.indptr)
@@ -347,7 +347,7 @@ def test_ras_beats_unpreconditioned():
     x0 = rng.standard_normal(dm.n_total)
     parts = schwarz.decompose(T, "uniform:2x2")
     dec = schwarz.build_decomposition(T, dm, parts, 1)
-    pre = schwarz.build_ras(sysm.A, dec)
+    pre = schwarz.build_ras(sysm, dec)
     _, rep_pre = krylov.gmres(lambda v: sysm.A @ v, sysm.rhs, x0=x0,
                               apply_M=pre.apply, tol=1e-6, x_ref=x_ref, max_iter=200)
     _, rep_raw = krylov.gmres(lambda v: sysm.A @ v, sysm.rhs, x0=x0,
@@ -366,7 +366,7 @@ def test_iterations_grow_with_subdomain_count():
     for spec_ in ("uniform:2x2", "uniform:3x3", "uniform:4x4"):
         parts = schwarz.decompose(T, spec_)
         dec = schwarz.build_decomposition(T, dm, parts, 1)
-        pre = schwarz.build_ras(sysm.A, dec)
+        pre = schwarz.build_ras(sysm, dec)
         _, rep = krylov.gmres(lambda v: sysm.A @ v, sysm.rhs, x0=x0,
                               apply_M=pre.apply, tol=1e-6, x_ref=x_ref, max_iter=300)
         counts.append(rep.iterations)
@@ -385,9 +385,9 @@ def test_vs_reference_history_nonincreasing():
     dec = schwarz.build_decomposition(T, dm, schwarz.decompose(T, "uniform:2x2"), 1)
     for kind in ("ras", "mras-nvtf"):
         if kind == "ras":
-            pre = schwarz.build_ras(sysm.A, dec)
+            pre = schwarz.build_ras(sysm, dec)
         else:
-            pre = schwarz.build_mras(sysm, T, dec, kind.split("-")[1])
+            pre = schwarz.build_mras(sysm, dec, kind.split("-")[1])
         _, rep = krylov.gmres(lambda v: sysm.A @ v, sysm.rhs, x0=x0,
                               apply_M=pre.apply, tol=1e-6, x_ref=x_ref, max_iter=300)
         assert rep.converged
