@@ -7,10 +7,15 @@ produce byte-identical output. Exit codes: 0 success, 1 usage error,
 2 numerical failure.
 
 Option precedence: command-line flags > --config file (key=value lines)
-> defaults (tau=6, nu=1, eps=-1, tol=1e-6, overlap=1).
+> defaults (tau=6, nu=1, eps=-1, tol=1e-6, overlap=1). Config values pass
+through the flags' own argparse types, so both get the same checks: tau,
+nu and tol positive and finite, counts at least 1, a valid --parts spec.
+converge, precond and solve share their problem flags and one set-up
+path (_solved).
 """
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -29,64 +34,72 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _checked(convert, ok, rule):
+    """argparse type: convert, then reject values that break rule."""
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+    parse.__name__ = convert.__name__  # a non-number reads "invalid int value"
+    return parse
+
+
+_at_least_one = _checked(int, lambda v: v >= 1, "at least 1")
+_positive = _checked(float, lambda v: 0 < v < math.inf, "positive and finite")
+
+
+def _parts(text):
+    try:
+        schwarz.parse_strategy(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+    return text
+
+
 def _build_parser():
+    problem = argparse.ArgumentParser(add_help=False)
+    problem.add_argument("--case", choices=sorted(CASE_BC))
+    problem.add_argument("--eps", type=int, choices=[-1, 1])
+    problem.add_argument("--tau", type=_positive)
+    problem.add_argument("--nu", type=_positive)
+    problem.add_argument("--out")
+    problem.add_argument("--config")
+    bc = argparse.ArgumentParser(add_help=False)
+    bc.add_argument("--bc", choices=["tvnf", "nvtf"])
+
     p = _Parser(prog="hdgstokes")
     sub = p.add_subparsers(dest="command", required=True)
+    c = sub.add_parser("converge", parents=[problem, bc],
+                       description="manufactured-solution convergence study")
+    c.add_argument("--n0", type=_at_least_one)
+    c.add_argument("--levels", type=_at_least_one)
 
-    c = sub.add_parser("converge", description="manufactured-solution convergence study")
-    c.add_argument("--case", choices=sorted(CASE_BC))
-    c.add_argument("--bc", choices=["tvnf", "nvtf"])
-    c.add_argument("--eps", type=int, choices=[-1, 1])
-    c.add_argument("--tau", type=float)
-    c.add_argument("--nu", type=float)
-    c.add_argument("--n0", type=int)
-    c.add_argument("--levels", type=int)
-    c.add_argument("--out")
-    c.add_argument("--config")
-
-    q = sub.add_parser("precond", description="GMRES preconditioner comparison")
-    q.add_argument("--case", choices=sorted(CASE_BC))
-    q.add_argument("--bc", choices=["tvnf", "nvtf"])
-    q.add_argument("--eps", type=int, choices=[-1, 1])
-    q.add_argument("--tau", type=float)
-    q.add_argument("--nu", type=float)
-    q.add_argument("--n", type=int)
-    q.add_argument("--parts")
-    q.add_argument("--overlap", type=int)
+    q = sub.add_parser("precond", parents=[problem, bc],
+                       description="GMRES preconditioner comparison")
+    q.add_argument("--n", type=_at_least_one)
+    q.add_argument("--parts", type=_parts)
+    q.add_argument("--overlap", type=_at_least_one)
     q.add_argument("--precond", choices=["ras", "mras-tvnf", "mras-nvtf", "none"])
-    q.add_argument("--tol", type=float)
-    q.add_argument("--max-iter", type=int)
+    q.add_argument("--tol", type=_positive)
+    q.add_argument("--max-iter", type=_at_least_one)
     q.add_argument("--seed", type=int)
     q.add_argument("--guess", choices=["random", "zero"])
-    q.add_argument("--out")
-    q.add_argument("--config")
 
     i = sub.add_parser("info", description="mesh and dof statistics")
     i.add_argument("--domain", choices=["unit_square", "t_shape"], default="unit_square")
-    i.add_argument("--n", type=int, required=True)
+    i.add_argument("--n", type=_at_least_one, required=True)
     i.add_argument("--bc", choices=["tvnf", "nvtf"], default="tvnf")
 
-    s = sub.add_parser("solve", description="solve one case, export fields")
-    s.add_argument("--case", choices=sorted(CASE_BC))
+    s = sub.add_parser("solve", parents=[problem], description="solve one case, export fields")
     s.add_argument("--domain")
-    s.add_argument("--n", type=int)
-    s.add_argument("--eps", type=int, choices=[-1, 1])
-    s.add_argument("--tau", type=float)
-    s.add_argument("--nu", type=float)
-    s.add_argument("--out")
-    s.add_argument("--config")
+    s.add_argument("--n", type=_at_least_one)
     return p
 
 
 _DEFAULTS = dict(tau=6.0, nu=1.0, eps=-1, tol=1e-6, overlap=1, n0=8, levels=4,
                  seed=0, guess="random", max_iter=400, parts="uniform:2x2",
                  precond="ras", domain="unit_square")
-_AT_LEAST_ONE = ("n", "n0", "levels", "overlap", "max_iter")
-_POSITIVE = ("tau", "nu", "tol")
-
-
-def _flag(key):
-    return "--" + key.replace("_", "-")
 
 
 def _read_config(path):
@@ -109,10 +122,11 @@ def _read_config(path):
 
 
 def _merge(parser, args):
-    """flags > config file > defaults, then _validate.
+    """flags > config file > defaults; --case and --n are required where a
+    subcommand has them, and the case sets bc.
 
     Config values are parsed by the same argparse flags, so they get the
-    flags' types and choices; an unknown key is a usage error.
+    flags' types, range checks and choices; an unknown key is a usage error.
     """
     keys = [k for k in vars(args) if k not in ("command", "config")]
     cfg = {}
@@ -122,7 +136,7 @@ def _merge(parser, args):
         for k, v in _read_config(path):
             if k not in keys:
                 raise UsageError(f"{path}: unknown key {k!r}")
-            argv.append(f"{_flag(k)}={v}")
+            argv.append(f"--{k.replace('_', '-')}={v}")
         try:
             cfg = vars(parser.parse_args(argv))
         except UsageError as err:
@@ -135,36 +149,16 @@ def _merge(parser, args):
         if v is None:
             v = _DEFAULTS.get(key)
         out[key] = v
-    _validate(out)
+    for key in ("n", "case"):
+        if key in out and out[key] is None:
+            raise UsageError(f"--{key} is required")
+    if "case" in out:
+        bc = CASE_BC[out["case"]]
+        if out.get("bc") not in (None, bc):
+            raise UsageError(f"case {out['case']} pairs with {bc.upper()} boundary "
+                             f"conditions, not {out['bc']}")
+        out["bc"] = bc
     return out
-
-
-def _validate(cfg):
-    """Range checks on merged options; every violation is a usage error."""
-    if "n" in cfg and cfg["n"] is None:
-        raise UsageError("--n is required")
-    for key in _AT_LEAST_ONE:
-        if cfg.get(key) is not None and cfg[key] < 1:
-            raise UsageError(f"{_flag(key)} must be at least 1, got {cfg[key]}")
-    for key in _POSITIVE:
-        if cfg.get(key) is not None and not cfg[key] > 0:
-            raise UsageError(f"{_flag(key)} must be positive, got {cfg[key]}")
-    if cfg.get("parts") is not None:
-        try:
-            schwarz.parse_strategy(cfg["parts"])
-        except ValueError as err:
-            raise UsageError(f"--parts: {err}") from None
-
-
-def _check_case(cfg):
-    if cfg["case"] is None:
-        raise UsageError("--case is required")
-    bc = CASE_BC[cfg["case"]]
-    if cfg.get("bc") not in (None, bc):
-        raise UsageError(f"case {cfg['case']} pairs with {bc.upper()} boundary "
-                         f"conditions, not {cfg['bc']}")
-    cfg["bc"] = bc
-    return cfg
 
 
 def _fmt(x):
@@ -185,19 +179,24 @@ def _emit(text, out):
         sys.stdout.write(text)
 
 
-def run_converge(cfg):
-    cfg = _check_case(cfg)
+def _solved(cfg, T):
+    """(exact, sysm, x_ref): cfg's manufactured case, its system assembled
+    on T and the reference solve."""
     exact = verify.catalogue(cfg["case"], nu=cfg["nu"])
+    dm = build_dof_map(T, cfg["bc"])
+    sysm = system.assemble(T, dm, nu=cfg["nu"], tau=cfg["tau"], eps=cfg["eps"],
+                           f=exact.f, g=exact.g)
+    return exact, sysm, system.solve_direct(sysm)
+
+
+def run_converge(cfg):
     T = mesh.generate("unit_square", cfg["n0"])
     reports = []
     for level in range(cfg["levels"]):
         if level:
             T = mesh.refine_uniform(T)
-        dm = build_dof_map(T, cfg["bc"])
-        sysm = system.assemble(T, dm, nu=cfg["nu"], tau=cfg["tau"], eps=cfg["eps"],
-                               f=exact.f, g=exact.g)
-        x = system.solve_direct(sysm)
-        reports.append(verify.error_norms(T, dm, x, exact, tau=cfg["tau"]))
+        exact, sysm, x = _solved(cfg, T)
+        reports.append(verify.error_norms(T, sysm.dofmap, x, exact, tau=cfg["tau"]))
     hs = [r.h for r in reports]
     eoc_e = verify.eoc([r.err_energy for r in reports], hs)
     eoc_u = verify.eoc([r.err_l2_u for r in reports], hs)
@@ -212,13 +211,8 @@ def run_converge(cfg):
 
 
 def run_precond(cfg):
-    cfg = _check_case(cfg)
-    exact = verify.catalogue(cfg["case"], nu=cfg["nu"])
     T = mesh.generate("unit_square", cfg["n"])
-    dm = build_dof_map(T, cfg["bc"])
-    sysm = system.assemble(T, dm, nu=cfg["nu"], tau=cfg["tau"], eps=cfg["eps"],
-                           f=exact.f, g=exact.g)
-    x_ref = system.solve_direct(sysm)
+    _, sysm, x_ref = _solved(cfg, T)
 
     if cfg["precond"] == "none":
         apply_M, n_parts = None, 0
@@ -227,7 +221,7 @@ def run_precond(cfg):
             parts = schwarz.decompose(T, cfg["parts"])
         except (OSError, ValueError) as err:
             raise UsageError(f"--parts: {err}") from None
-        dec = schwarz.build_decomposition(T, dm, parts, cfg["overlap"])
+        dec = schwarz.build_decomposition(T, sysm.dofmap, parts, cfg["overlap"])
         n_parts = dec.n_parts
         if cfg["precond"] == "ras":
             pre = schwarz.build_ras(sysm, dec)
@@ -237,9 +231,9 @@ def run_precond(cfg):
 
     if cfg["guess"] == "random":
         rng = np.random.default_rng(cfg["seed"])
-        x0 = rng.standard_normal(dm.n_total)
+        x0 = rng.standard_normal(len(sysm.rhs))
     else:
-        x0 = np.zeros(dm.n_total)
+        x0 = np.zeros(len(sysm.rhs))
     x, rep = krylov.gmres(lambda v: sysm.A @ v, sysm.rhs, x0=x0, apply_M=apply_M,
                           tol=cfg["tol"], x_ref=x_ref, max_iter=cfg["max_iter"])
     lines = [_config_comment("precond", cfg),
@@ -266,13 +260,9 @@ def run_solve(cfg):
         raise UsageError(
             "solve supports the unit square only: the T-shaped benchmark mixes "
             "Dirichlet inflow with TVNF outflow, which is out of scope")
-    cfg = _check_case(cfg)
-    exact = verify.catalogue(cfg["case"], nu=cfg["nu"])
     T = mesh.generate("unit_square", cfg["n"])
-    dm = build_dof_map(T, cfg["bc"])
-    sysm = system.assemble(T, dm, nu=cfg["nu"], tau=cfg["tau"], eps=cfg["eps"],
-                           f=exact.f, g=exact.g)
-    x = system.solve_direct(sysm)
+    _, sysm, x = _solved(cfg, T)
+    dm = sysm.dofmap
     centers = T.barycenters()
     uh = verify.velocity_at(T, dm, x, centers[:, None, :])[:, 0, :]
     pres = x[dm.pres_dof(np.arange(dm.n_tris))]

@@ -92,7 +92,7 @@ class Factorization:
     dissection, which halves its fill at n = 32 and cuts it 2.7x at
     n = 128. The unshifted A is kept (CSR), and solve() refines against it
     while the residual at least halves; it raises FactorizationError if the
-    residual stays above 1e-10 ||b||.
+    residual stays above 1e-10 ||b|| or is NaN.
 
     refine=False (the Schwarz local factors, solved many times each): A
     itself is factored, unshifted, in velocity_first(A, order), whose
@@ -168,9 +168,9 @@ class Factorization:
             prev, res = res, np.linalg.norm(r)
             if res < best_res:
                 best, best_res = x, res
-            if res > 0.5 * prev:
+            if not res <= 0.5 * prev:  # also stops on a NaN residual
                 break
-        if best_res > 1e-10 * np.linalg.norm(b):
+        if not best_res <= 1e-10 * np.linalg.norm(b):
             raise FactorizationError(
                 f"iterative refinement stalled at relative residual "
                 f"{best_res / np.linalg.norm(b):.1e}")

@@ -105,7 +105,7 @@ def partition_uniform(T, px, py):
 
 
 def partition_bisect(T, n_parts):
-    """Recursive coordinate bisection of the dual graph into n_parts parts."""
+    """Recursive coordinate bisection of the barycenters into n_parts parts."""
     if n_parts < 1:
         raise ValueError("need at least one part")
     b = T.barycenters()

@@ -67,6 +67,15 @@ def test_numerical_failure_exit_code(monkeypatch, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_nan_reference_residual_is_numerical_failure(capsys):
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["converge", "--case", "curl_trig", "--nu", "1e-300", "--n0", "2",
+                   "--levels", "1", "--out", os.devnull])
+    assert rc == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("numerical failure: ") and "residual nan" in last
+
+
 def test_precond_single_subdomain(tmp_path):
     out = tmp_path / "p.csv"
     rc = main(["precond", "--case", "poiseuille", "--n", "4", "--parts",
@@ -172,11 +181,15 @@ PRECOND = ["precond", "--case", "bubble", "--n", "4"]
     (PRECOND + ["--parts", "file:CFG"], "0\n1\n"),
     (["converge", "--case", "bubble", "--levels", "0"], None),
     (["converge", "--case", "bubble", "--tau", "-1"], None),
+    (["converge", "--case", "bubble", "--tau", "inf"], None),
+    (PRECOND + ["--tol", "inf"], None),
+    (["converge", "--config", "CFG"], "case=bubble\nnu=nan\n"),
+    (["precond", "--config", "CFG"], "case=bubble\nn=4\noverlap=0\n"),
 ], ids=["config-bad-choice", "config-bad-int", "config-unknown-key", "config-missing",
         "parts-uniform-0", "parts-bisect-0", "parts-malformed", "parts-uniform-empty",
         "parts-bisect-empty", "overlap-0", "info-n-0",
         "info-t-shape-odd", "parts-file-missing", "parts-file-short", "levels-0",
-        "tau-negative"])
+        "tau-negative", "tau-inf", "tol-inf", "config-nu-nan", "config-overlap-0"])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv, config):
     cfg = tmp_path / "run.cfg"
     if config is not None:

@@ -218,8 +218,9 @@ def test_ras_bordered_local_solves_match_full_lu(n, spec_, eps):
 
 
 def test_ras_bordered_local_fill_below_full_lu():
-    # minimum degree on A + A^T with diagonal pivots against COLAMD with
-    # partial pivoting, which orders the border row inside small factors
+    # the velocity-first nested-dissection order with diagonal pivots against
+    # COLAMD with partial pivoting, which orders the border row inside small
+    # factors
     ex, T, dm, sysm = assembled("bubble", 32)
     for spec_, kind in [("uniform:4x4", "ras"), ("uniform:2x2", TVNF)]:
         dec = schwarz.build_decomposition(T, dm, schwarz.decompose(T, spec_), 1)
