@@ -9,7 +9,8 @@ produce byte-identical output. Exit codes: 0 success, 1 usage error,
 Option precedence: command-line flags > --config file (key=value lines)
 > defaults (tau=6, nu=1, eps=-1, tol=1e-6, overlap=1). Config values pass
 through the flags' own argparse types, so both get the same checks: tau,
-nu and tol positive and finite, counts at least 1, a valid --parts spec.
+nu and tol positive and finite, counts at least 1, the seed non-negative,
+a valid --parts spec.
 converge, precond and solve share their problem flags and one set-up
 path (_solved).
 """
@@ -46,6 +47,7 @@ def _checked(convert, ok, rule):
 
 
 _at_least_one = _checked(int, lambda v: v >= 1, "at least 1")
+_non_negative = _checked(int, lambda v: v >= 0, "non-negative")
 _positive = _checked(float, lambda v: 0 < v < math.inf, "positive and finite")
 
 
@@ -83,7 +85,7 @@ def _build_parser():
     q.add_argument("--precond", choices=["ras", "mras-tvnf", "mras-nvtf", "none"])
     q.add_argument("--tol", type=_positive)
     q.add_argument("--max-iter", type=_at_least_one)
-    q.add_argument("--seed", type=int)
+    q.add_argument("--seed", type=_non_negative)
     q.add_argument("--guess", choices=["random", "zero"])
 
     i = sub.add_parser("info", description="mesh and dof statistics")

@@ -22,7 +22,7 @@ m), then the 3 multipliers (6 + loc).
 
 import numpy as np
 
-from .quadrature import BDM_NODES, edge_gauss, tri_rule
+from .quadrature import BDM_NODES, TRI_RULE, edge_gauss
 
 
 class GeometryError(Exception):
@@ -30,7 +30,6 @@ class GeometryError(Exception):
 
 
 _EDGE_QUAD = edge_gauss(3)  # degree-5 on edges, used for the boundary data
-_TRI_DATA = tri_rule(5)     # degree-5 in elements, used for manufactured loads
 
 
 class ElementStack:
@@ -148,7 +147,7 @@ def local_b(ker):
 
 def local_load(ker, f):
     """Body-force loads int_K f . phi_j for the 6 BDM dofs (degree-5 rule); (ne, 6)."""
-    bary, w = _TRI_DATA
+    bary, w = TRI_RULE
     pts = np.einsum("qb,tbc->tqc", bary, ker.verts)
     fv = np.asarray(f(pts[..., 0], pts[..., 1]))
     return ker.area[:, None] * np.einsum("q,tqc,tqjc->tj", w, fv, ker.eval_basis(pts))

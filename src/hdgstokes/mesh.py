@@ -141,30 +141,13 @@ def generate(domain, n):
         # Int([0,1.5]x[0,1] u [0.5,1]x[-1,0]); cells of size 1/n must tile both parts
         if n % 2 != 0:
             raise ValueError("t_shape needs even n (bar is 1.5 long, stem 0.5 wide)")
-        v1, t1 = _grid_cells(0.0, 0.0, 3 * n // 2, n, n)
-        v2, t2 = _grid_cells(0.5, -1.0, n // 2, n, n)
-        verts, tris = _merge_meshes([v1, v2], [t1, t2])
-        return Triangulation(verts, tris)
+        verts, tris = _grid_cells(0.0, -1.0, 3 * n // 2, 2 * n, n)
+        # keep the triangles of the bar and the stem, then the vertices they use
+        c = verts[tris].mean(axis=1)
+        tris = tris[(c[:, 1] > 0) | ((c[:, 0] > 0.5) & (c[:, 0] < 1))]
+        used, tris = np.unique(tris, return_inverse=True)
+        return Triangulation(verts[used], tris.reshape(-1, 3))
     raise ValueError(f"unknown domain {domain!r}")
-
-
-def _merge_meshes(vert_lists, tri_lists, tol=1e-12):
-    """Concatenate sub-meshes, de-duplicating vertices by coordinate hashing."""
-    key_of = {}
-    verts = []
-    tris_out = []
-    for v, t in zip(vert_lists, tri_lists):
-        remap = np.empty(len(v), dtype=np.int64)
-        for i, (x, y) in enumerate(v):
-            key = (round(x / tol), round(y / tol))
-            idx = key_of.get(key)
-            if idx is None:
-                idx = len(verts)
-                key_of[key] = idx
-                verts.append((x, y))
-            remap[i] = idx
-        tris_out.append(remap[t])
-    return np.array(verts), np.vstack(tris_out)
 
 
 def refine_uniform(T):
@@ -208,36 +191,20 @@ def read_mesh(path):
     with open(path) as f:
         lines = f.readlines()
 
-    def fail(lineno, msg):
-        raise MeshError(f"{path}:{lineno}: {msg}")
+    def record(k, convert, form):
+        """The values of line k (1-based), one per field of form."""
+        parts = lines[k - 1].split() if k <= len(lines) else []
+        try:
+            values = [convert(p) for p in parts]
+        except ValueError:
+            values = []
+        if len(values) != len(form.split()):
+            raise MeshError(f"{path}:{k}: expected '{form}'")
+        return values
 
-    if not lines:
-        fail(1, "empty file")
-    head = lines[0].split()
-    if len(head) != 2:
-        fail(1, "expected 'nv nt' header")
-    try:
-        nv, nt = int(head[0]), int(head[1])
-    except ValueError:
-        fail(1, "expected integer counts in header")
-    if len(lines) < 1 + nv + nt:
-        fail(len(lines), f"expected {1 + nv + nt} lines, found {len(lines)}")
-    verts = np.empty((nv, 2))
-    for i in range(nv):
-        parts = lines[1 + i].split()
-        if len(parts) != 2:
-            fail(2 + i, "expected 'x y'")
-        try:
-            verts[i] = [float(parts[0]), float(parts[1])]
-        except ValueError:
-            fail(2 + i, "could not parse coordinates")
-    tris = np.empty((nt, 3), dtype=np.int64)
-    for i in range(nt):
-        parts = lines[1 + nv + i].split()
-        if len(parts) != 3:
-            fail(2 + nv + i, "expected 'i j k'")
-        try:
-            tris[i] = [int(p) for p in parts]
-        except ValueError:
-            fail(2 + nv + i, "could not parse vertex indices")
-    return Triangulation(verts, tris)
+    nv, nt = record(1, int, "nv nt")
+    if nv < 0 or nt < 0:
+        raise MeshError(f"{path}:1: negative count in 'nv nt'")
+    verts = [record(2 + i, float, "x y") for i in range(nv)]
+    tris = [record(2 + nv + i, int, "i j k") for i in range(nt)]
+    return Triangulation(np.reshape(verts, (nv, 2)), np.reshape(tris, (nt, 3)))

@@ -1,34 +1,27 @@
-"""Quadrature rules: triangle rules of degree 4 and 5, Gauss rules on edges.
+"""Quadrature rules: one triangle rule of degree 5, Gauss rules on edges.
 
-Triangle rules return barycentric coordinates and weights summing to 1
-(multiply by the triangle area). Edge rules return parameters in (0, 1)
-measured from the first endpoint and weights summing to 1 (multiply by
-the edge length).
+TRI_RULE is the 7-point rule exact for polynomials of degree 5 (Radon),
+as barycentric coordinates and weights summing to 1 (multiply by the
+triangle area). Edge rules return parameters in (0, 1) measured from the
+first endpoint and weights summing to 1 (multiply by the edge length).
 """
 
 import numpy as np
 
 
-def tri_rule(degree):
-    if degree <= 4:
-        a1, w1 = 0.445948490915965, 0.223381589678011
-        a2, w2 = 0.091576213509771, 0.109951743655322
-        pts = [(1 - 2 * a1, a1, a1), (a1, 1 - 2 * a1, a1), (a1, a1, 1 - 2 * a1),
-               (1 - 2 * a2, a2, a2), (a2, 1 - 2 * a2, a2), (a2, a2, 1 - 2 * a2)]
-        w = [w1, w1, w1, w2, w2, w2]
-    elif degree == 5:
-        s15 = np.sqrt(15.0)
-        b = (6 + s15) / 21
-        c = (6 - s15) / 21
-        wb = (155 + s15) / 1200
-        wc = (155 - s15) / 1200
-        pts = [(1 / 3, 1 / 3, 1 / 3),
-               (1 - 2 * b, b, b), (b, 1 - 2 * b, b), (b, b, 1 - 2 * b),
-               (1 - 2 * c, c, c), (c, 1 - 2 * c, c), (c, c, 1 - 2 * c)]
-        w = [9 / 40, wb, wb, wb, wc, wc, wc]
-    else:
-        raise ValueError(f"no triangle rule of degree {degree}")
+def _radon_rule():
+    s15 = np.sqrt(15.0)
+    b, c = (6 + s15) / 21, (6 - s15) / 21
+    wb, wc = (155 + s15) / 1200, (155 - s15) / 1200
+    pts = [(1 / 3, 1 / 3, 1 / 3),
+           (1 - 2 * b, b, b), (b, 1 - 2 * b, b), (b, b, 1 - 2 * b),
+           (1 - 2 * c, c, c), (c, 1 - 2 * c, c), (c, c, 1 - 2 * c)]
+    w = [9 / 40, wb, wb, wb, wc, wc, wc]
     return np.array(pts), np.array(w)
+
+
+# barycentric points (7, 3) and weights (7,)
+TRI_RULE = _radon_rule()
 
 
 def edge_gauss(npts):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .fem_space import NVTF, TVNF, edge_dofs, element_dofs
 from .local_assembly import ElementStack
-from .quadrature import BDM_NODES, edge_gauss, tri_rule
+from .quadrature import BDM_NODES, TRI_RULE, edge_gauss
 from .system import manufactured_data
 
 
@@ -201,7 +201,7 @@ def _energy_terms(T, ker, vd, mult, grad_u):
     the discrete pair (vd, mult) against an exact velocity with gradient grad_u,
     before the nu, h_K and tau/h_K factors."""
     gh = ker.field_grad(vd)          # (nt, 2, 2)
-    bary, wv = tri_rule(5)
+    bary, wv = TRI_RULE
     vol_pts = np.einsum("qb,tbc->tqc", bary, ker.verts)
     gdiff = np.asarray(grad_u(vol_pts[..., 0], vol_pts[..., 1])) - gh[:, None, :, :]
     h1_sq = T.areas * np.einsum("q,tqij->t", wv, gdiff ** 2)
@@ -227,7 +227,7 @@ def error_norms(T, dm, x, exact, tau=6.0):
     ker, vd, mult, pres = _element_fields(T, dm, x)
     h1_sq, edge_sq, stab_sq = _energy_terms(T, ker, vd, mult, exact.grad_u)
 
-    bary, wv = tri_rule(5)
+    bary, wv = TRI_RULE
     vol_pts = np.einsum("qb,tbc->tqc", bary, ker.verts)
     xq, yq = vol_pts[..., 0], vol_pts[..., 1]
     uh = ker.eval_field(vd, vol_pts)
@@ -280,7 +280,7 @@ def interpolate(T, dm, exact):
         uv = np.asarray(exact.u(pts[:, 0], pts[:, 1]))
         acc += wq * np.einsum("ec,ec->e", uv, T.edge_t)
     x[dofs[:, 2]] = acc
-    bary, wv = tri_rule(5)
+    bary, wv = TRI_RULE
     pts = np.einsum("qb,tbc->tqc", bary, T.vertices[T.triangles])
     x[dm.pres_dof(np.arange(dm.n_tris))] = \
         np.einsum("q,tq->t", wv, np.asarray(exact.p(pts[..., 0], pts[..., 1])))

@@ -61,9 +61,11 @@ def test_lu_given_order_solves_nonsymmetric():
 
 # --- velocity-first order of the Schwarz local factors -----------------------
 
+@pytest.mark.filterwarnings("error")
 def test_refined_solve_rejects_nan_residual():
     # nu = 1e-300 scales the solution past the float range, so the residual
-    # is NaN; it stops the refinement at once and fails the final check
+    # is NaN; it stops the refinement at once and fails the final check,
+    # without a floating-point warning
     ex = verify.catalogue("curl_trig", nu=1e-300)
     T = generate("unit_square", 2)
     sysm = system.assemble(T, build_dof_map(T, TVNF), nu=1e-300, tau=6.0, eps=-1,
@@ -71,9 +73,8 @@ def test_refined_solve_rejects_nan_residual():
     F = Factorization(sysm.A, refine=True, order=sysm.order)
     calls, lu_solve = [], F._lu_solve
     F._lu_solve = lambda b: calls.append(1) or lu_solve(b)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(FactorizationError, match="residual nan"):
-            F.solve(sysm.rhs)
+    with pytest.raises(FactorizationError, match="residual nan"):
+        F.solve(sysm.rhs)
     assert len(calls) == 2
 
 

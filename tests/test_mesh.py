@@ -32,6 +32,22 @@ def test_t_shape_counts():
     assert np.isclose(T.areas.sum(), 1.5 + 0.5)
 
 
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_t_shape_oracle(n):
+    # bar [0,1.5]x[0,1] and stem [0.5,1]x[-1,0] share the n/2 + 1 vertices
+    # of the segment [0.5,1]x{0}
+    T = mesh.generate("t_shape", n)
+    assert T.n_triangles == 4 * n * n
+    assert np.isclose(T.areas.sum(), 2.0, rtol=1e-14)
+    x, y = T.barycenters().T
+    in_bar = (0 < x) & (x < 1.5) & (0 < y) & (y < 1)
+    in_stem = (0.5 < x) & (x < 1) & (-1 < y) & (y < 0)
+    assert np.all(in_bar | in_stem)
+    m = n // 2
+    assert T.n_vertices == (3 * m + 1) * (n + 1) + (m + 1) * (n + 1) - (m + 1)
+    assert np.abs(T.vertices * n - np.round(T.vertices * n)).max() < 1e-12
+
+
 def test_t_shape_odd_n_rejected():
     with pytest.raises(ValueError):
         mesh.generate("t_shape", 3)
@@ -174,4 +190,11 @@ def test_read_mesh_parse_error_has_line_number(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("2 1\n0 0\nnot-a-number 1\n0 1 2\n")
     with pytest.raises(mesh.MeshError, match=":3:"):
+        mesh.read_mesh(path)
+
+
+def test_read_mesh_negative_count_is_header_error(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("-1 1\n0 1 2\n")
+    with pytest.raises(mesh.MeshError, match=":1:"):
         mesh.read_mesh(path)
