@@ -9,17 +9,20 @@ tangent. Pressure: one constant per triangle. Block layout:
     multiplier dofs [2E, 3E)      edge_dofs(E, e)[2] = 2E + e
     pressure dofs   [3E, 3E + T)  pres_dof(t)        = 3E + t
 
-With NVTF boundary conditions one extra row/column at index 3E + T
-enforces the zero-mean pressure constraint.
-
-A TVNF or NVTF condition on an edge fixes one velocity trace and loads the
-conjugate one (trace_dofs): TVNF fixes the multiplier (u_t) and its datum
-loads both BDM dofs; NVTF fixes both BDM dofs (u_n) and its datum loads
-the multiplier. This one rule serves the global boundary conditions and
-the MRAS interface conditions.
+Every boundary edge carries its own kind of condition, TVNF or NVTF. A
+condition fixes one velocity trace of its edge and loads the conjugate one
+(trace_dofs): TVNF fixes the multiplier (u_t) and its datum loads both BDM
+dofs; NVTF fixes both BDM dofs (u_n) and its datum loads the multiplier.
+When every boundary edge is NVTF, no normal velocity is free and the
+pressure is fixed only up to a constant: one extra row/column at index
+3E + T then enforces its zero mean. The DofMap is the one place these
+rules live; they serve the global boundary conditions on Gamma and the
+MRAS interface conditions alike (an MRAS local problem is a mesh of its
+own whose interface edges are boundary edges).
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,14 +30,15 @@ from .quadrature import BDM_NODES
 
 TVNF = "tvnf"
 NVTF = "nvtf"
+KINDS = (TVNF, NVTF)  # the order of the boundary groups
 
 
 @dataclass(frozen=True)
 class DofMap:
     n_edges: int
     n_tris: int
-    bc_kind: str
-    constrained: np.ndarray = field(repr=False)  # sorted global indices fixed by the bc
+    boundary_edges: np.ndarray = field(repr=False)  # Gamma edge indices, ascending
+    boundary_kinds: np.ndarray = field(repr=False)  # TVNF or NVTF per boundary edge
 
     @property
     def n_geometric(self):
@@ -42,11 +46,23 @@ class DofMap:
 
     @property
     def n_total(self):
-        return self.n_geometric + (1 if self.bc_kind == NVTF else 0)
+        return self.n_geometric + (self.mean_constraint_dof is not None)
 
     @property
     def mean_constraint_dof(self):
-        return self.n_geometric if self.bc_kind == NVTF else None
+        """The zero-mean pressure row, present iff every boundary edge is NVTF
+        (no boundary edge leaves a normal velocity free)."""
+        return self.n_geometric if np.all(self.boundary_kinds == NVTF) else None
+
+    @cached_property
+    def constrained(self):
+        """Sorted global indices fixed by the boundary conditions."""
+        return np.sort(np.concatenate([trace_dofs(self.n_edges, edges, kind)[0].ravel()
+                                       for kind, edges in self.boundary_groups()]))
+
+    def boundary_groups(self):
+        """(kind, edges) for each kind in KINDS order; a group may be empty."""
+        return [(kind, self.boundary_edges[self.boundary_kinds == kind]) for kind in KINDS]
 
     def pres_dof(self, tri):
         return 3 * self.n_edges + tri
@@ -70,20 +86,26 @@ def trace_dofs(n_edges, edges, kind):
     raise ValueError(f"unknown boundary condition kind {kind!r}")
 
 
-def element_dofs(dm, edge_ids, tris):
-    """Global indices of the 9 velocity/multiplier dofs (ne, 9) and the pressure
-    dof (ne,) of the triangles tris with edges edge_ids (ne, 3), in local order:
-    the BDM dofs of local edges 0, 1, 2, then their multipliers."""
-    dofs = edge_dofs(dm.n_edges, edge_ids)
+def element_dofs(dm, tri_edges):
+    """Global indices of the 9 velocity/multiplier dofs (nt, 9) and the pressure
+    dof (nt,) of every triangle, given its edges tri_edges (nt, 3), in local
+    order: the BDM dofs of local edges 0, 1, 2, then their multipliers."""
+    dofs = edge_dofs(dm.n_edges, tri_edges)
     gdofs = np.concatenate([dofs[..., :2].reshape(len(dofs), 6), dofs[..., 2]], axis=1)
-    return gdofs, dm.pres_dof(np.asarray(tris))
+    return gdofs, dm.pres_dof(np.arange(len(dofs)))
 
 
 def build_dof_map(T, bc):
-    """Number the dofs of the hybrid triple on T and classify the bc-constrained ones."""
-    fixed, _ = trace_dofs(T.n_edges, np.flatnonzero(T.boundary_edge), bc)
-    return DofMap(n_edges=T.n_edges, n_tris=T.n_triangles, bc_kind=bc,
-                  constrained=np.sort(fixed.ravel()))
+    """Number the dofs of the hybrid triple on T under the boundary conditions
+    bc: one kind (TVNF or NVTF) for all of Gamma, or one kind per boundary
+    edge in ascending edge order."""
+    edges = np.flatnonzero(T.boundary_edge)
+    kinds = np.broadcast_to(np.asarray(bc), edges.shape)
+    unknown = kinds[~np.isin(kinds, KINDS)]
+    if len(unknown):
+        raise ValueError(f"unknown boundary condition kind {str(unknown[0])!r}")
+    return DofMap(n_edges=T.n_edges, n_tris=T.n_triangles,
+                  boundary_edges=edges, boundary_kinds=kinds)
 
 
 def dissection_order(T, dm):

@@ -2,8 +2,9 @@
 
 Every quantity is computed at once for a stack of triangles: geometry and
 basis coefficients have a leading element axis, and the local forms return
-stacked 9x9 blocks, pressure rows and loads, so assembly, the MRAS local
-rebuild and the error norms all run as numpy array operations.
+stacked 9x9 blocks, pressure rows and loads, so assembly (of the global
+system and of the MRAS local problems) and the error norms all run as
+numpy array operations.
 
 The BDM1 basis is built directly in physical coordinates by inverting the
 6x6 matrix of dof functionals (point values of v . n_E at the two Gauss
@@ -33,7 +34,7 @@ _EDGE_QUAD = edge_gauss(3)  # degree-5 on edges, used for the boundary data
 
 
 class ElementStack:
-    """BDM1 basis and edge geometry of the triangles elems of T (all by default).
+    """BDM1 basis and edge geometry of every triangle of T.
 
     Arrays carry the element axis first: verts (ne, 3, 2), edge data
     (ne, 3, ...) per local edge, coeffs (ne, 6, 6) maps BDM dof values to
@@ -42,23 +43,22 @@ class ElementStack:
     and divergences.
     """
 
-    def __init__(self, T, elems=None):
-        self.elems = np.arange(T.n_triangles) if elems is None else np.asarray(elems)
-        self.verts = T.vertices[T.triangles[self.elems]]
-        self.area = T.areas[self.elems]
-        self.h_K = T.h_K[self.elems]
+    def __init__(self, T):
+        self.verts = T.vertices[T.triangles]
+        self.area = T.areas
+        self.h_K = T.h_K
         self.center = self.verts.mean(axis=1)
 
-        self.edge_ids = T.tri_edges[self.elems]
-        self.edge_lo = T.vertices[T.edges[self.edge_ids, 0]]
-        self.d = T.vertices[T.edges[self.edge_ids, 1]] - self.edge_lo
-        self.edge_len = T.edge_len[self.edge_ids]
-        self.t_E = T.edge_t[self.edge_ids]
-        self.n_E = T.edge_n[self.edge_ids]
-        self.n_out = T.tri_edge_sign[self.elems, :, None] * self.n_E
+        e = T.tri_edges
+        self.edge_lo = T.vertices[T.edges[e, 0]]
+        self.d = T.vertices[T.edges[e, 1]] - self.edge_lo
+        self.edge_len = T.edge_len[e]
+        self.t_E = T.edge_t[e]
+        self.n_E = T.edge_n[e]
+        self.n_out = T.tri_edge_sign[:, :, None] * self.n_E
 
         # dof functional matrix: rows (edge, node), columns vector monomials
-        F = np.empty((len(self.elems), 6, 6))
+        F = np.empty((len(self.area), 6, 6))
         for m, s in enumerate(BDM_NODES):
             mono = self.monomials(self.edge_lo + s * self.d)   # (ne, 3, 3)
             F[:, m::2, 0:3] = self.n_E[..., 0:1] * mono
@@ -66,7 +66,7 @@ class ElementStack:
         try:
             self.coeffs = np.linalg.inv(F)
         except np.linalg.LinAlgError:
-            bad = self.elems[np.linalg.matrix_rank(F) < 6]
+            bad = np.flatnonzero(np.linalg.matrix_rank(F) < 6)
             raise GeometryError(f"degenerate triangles {bad.tolist()}: "
                                 f"singular dof functional matrix") from None
 
@@ -77,7 +77,7 @@ class ElementStack:
         self.divs = (self.coeffs[:, 1] + self.coeffs[:, 5]) / s
 
     def __len__(self):
-        return len(self.elems)
+        return len(self.area)
 
     def monomials(self, pts):
         """Monomials [1, X, Y] at points pts (ne, ..., 2) of each element, in

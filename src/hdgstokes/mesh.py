@@ -39,6 +39,8 @@ class Triangulation:
         self.triangles = np.asarray(triangles, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshError("vertices must be an (nv, 2) array")
+        if not np.isfinite(self.vertices).all():
+            raise MeshError("vertex coordinates must be finite")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise MeshError("triangles must be an (nt, 3) array")
         if self.triangles.size and (self.triangles.min() < 0

@@ -15,15 +15,14 @@ sum_i R_i^T D_i R_i = Id exact.
 RAS local matrices are R_i A R_i^T. For an NVTF system they keep the
 global mean-pressure border as their last dof.
 
-MRAS local matrices are the global assembly run on fewer elements:
-system.element_triplets over the overlapped subdomain, then
-system.constrained_matrix with more dofs fixed. Interface edges (the
-subdomain boundary away from Gamma) get homogeneous TVNF or NVTF
-conditions, which with hybrid dG fix ordinary edge dofs; edges on Gamma
-keep the global constraints. A local problem whose entire boundary carries
-normal-velocity constraints is pinned by the mean-pressure border row
-restricted to its elements (for a TVNF global system, one extra row past
-the subdomain's dofs).
+MRAS local matrices are the global assembly (system.assemble) on the mesh
+of the overlapped subdomain's triangles. Its interface edges (the
+subdomain boundary away from Gamma) are boundary edges of that mesh and
+get homogeneous TVNF or NVTF conditions, which with hybrid dG fix ordinary
+edge dofs; its edges on Gamma keep their global kind. The one rule of
+fem_space.DofMap decides what each edge fixes and whether the local
+problem floats and so gets a mean-pressure border row (for a TVNF global
+system, one extra row past the subdomain's dofs).
 """
 
 from dataclasses import dataclass, field
@@ -31,9 +30,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .fem_space import NVTF, TVNF, edge_dofs, trace_dofs, vertex_field_at_dofs
+from .fem_space import NVTF, TVNF, build_dof_map, edge_dofs, vertex_field_at_dofs
 from .krylov import Factorization, FactorizationError
-from .system import constrained_matrix, element_triplets
+from .mesh import Triangulation
+from .system import assemble
 
 
 @dataclass(frozen=True)
@@ -48,37 +48,33 @@ class Decomposition:
         return len(self.elems)
 
 
-def parse_strategy(strategy):
-    """Validated partition strategy tuple from a spec.
-
-    Accepts 'uniform:PXxPY', 'bisect:N', 'file:PATH', or a tuple
-    ('uniform', px, py) / ('bisect', n) / ('file', path); part counts must
-    be at least 1. Raises ValueError on a malformed spec.
+def parse_strategy(spec):
+    """Validated partition strategy tuple ('uniform', px, py), ('bisect', n)
+    or ('file', path) from a spec 'uniform:PXxPY', 'bisect:N' or 'file:PATH';
+    part counts must be at least 1. Raises ValueError on a malformed spec.
     """
-    spec = strategy
-    if isinstance(strategy, str):
-        kind, _, arg = strategy.partition(":")
-        try:
-            if kind == "uniform":
-                px, _, py = arg.partition("x")
-                strategy = ("uniform", int(px), int(py))
-            elif kind == "bisect":
-                strategy = ("bisect", int(arg))
-            elif kind == "file":
-                strategy = ("file", arg)
-        except ValueError:
-            raise ValueError(f"malformed partition strategy {spec!r}") from None
-    if strategy[0] not in ("uniform", "bisect", "file"):
+    kind, _, arg = spec.partition(":")
+    if kind not in ("uniform", "bisect", "file"):
         raise ValueError(f"unknown partition strategy {spec!r}")
-    if strategy[0] != "file" and min(strategy[1:]) < 1:
+    if kind == "file":
+        return ("file", arg)
+    try:
+        if kind == "uniform":
+            px, _, py = arg.partition("x")
+            strategy = ("uniform", int(px), int(py))
+        else:
+            strategy = ("bisect", int(arg))
+    except ValueError:
+        raise ValueError(f"malformed partition strategy {spec!r}") from None
+    if min(strategy[1:]) < 1:
         raise ValueError(f"partition strategy {spec!r} needs at least one part per direction")
     return strategy
 
 
-def decompose(T, strategy):
+def decompose(T, spec):
     """Non-overlapping partition from a strategy spec (see parse_strategy).
     Returns one part id per triangle."""
-    strategy = parse_strategy(strategy)
+    strategy = parse_strategy(spec)
     kind = strategy[0]
     if kind == "uniform":
         px, py = strategy[1:]
@@ -159,7 +155,7 @@ def subdomain_dofs(T, dm, elems):
     """All global dofs attached to a triangle set (plus the NVTF constraint row)."""
     edges = np.unique(T.tri_edges[elems])
     parts = [edge_dofs(dm.n_edges, edges).ravel(), dm.pres_dof(np.asarray(elems))]
-    if dm.bc_kind == NVTF:
+    if dm.mean_constraint_dof is not None:
         parts.append(np.array([dm.mean_constraint_dof]))
     return np.sort(np.concatenate(parts))
 
@@ -218,58 +214,33 @@ def build_ras(sysm, dec):
     return _factor_locals(sysm, dec, lambda i: sysm.A[dec.dofs[i], :][:, dec.dofs[i]], "RAS")
 
 
-def interface_edges(T, elems):
-    """Edges of the subdomain boundary that are not on Gamma."""
-    in_part = np.zeros(T.n_triangles + 1, dtype=bool)
-    in_part[elems] = True
-    in_part[-1] = False  # slot for the -1 of boundary edges
-    cnt = in_part[T.edge_tris[:, 0]].astype(int) + in_part[T.edge_tris[:, 1]]
-    local_bnd = cnt == 1
-    return np.flatnonzero(local_bnd & ~T.boundary_edge), \
-        np.flatnonzero(local_bnd & T.boundary_edge)
-
-
 def mras_local_matrix(sysm, dec, i, ic):
-    """Local matrix B_i of the MRAS preconditioner (CSR).
+    """Local matrix B_i of the MRAS preconditioner (CSR): system.assemble on
+    the mesh of subdomain i's triangles, whose Gamma edges keep their global
+    kind and whose interface edges (its other boundary edges) get the kind
+    ic. The natural flux condition there (sigma_nn = 0 for TVNF, sigma_nt = 0
+    for NVTF) costs nothing and the conjugate velocity trace is fixed to zero.
 
-    B_i is the global assembly restricted to the elements of subdomain i, so
-    interface edges get the single-element rows of a genuine local boundary:
-    the natural flux condition (sigma_nn = 0 for TVNF, sigma_nt = 0 for NVTF)
-    costs nothing and the conjugate velocity trace is fixed to zero (TVNF:
-    multiplier, NVTF: both BDM dofs; fem_space.trace_dofs), exactly as the
-    global bc does on Gamma.
-    Edges on Gamma keep the global constraints; away from the interface the
-    rows coincide with R_i A R_i^T. A floating local problem (every boundary
-    edge normal-constrained) is pinned by a mean-pressure border row at local
-    index searchsorted(dofs, n_geometric): the global constraint dof for NVTF,
-    one row past the subdomain's dofs for TVNF. Otherwise an NVTF constraint
-    dof passes through as identity.
+    B_i needs no index map because the vertex renumbering by np.unique is
+    monotone: the local mesh then numbers its triangles, and its edges (by
+    sorted vertex pair), in the global order, so its dofs come in the order
+    of dec.dofs[i]. A local problem whose boundary edges are all NVTF
+    floats and carries its own mean-pressure row at index n_geometric: the
+    global border dof for an NVTF system, one row past the subdomain's dofs
+    for a TVNF one. Otherwise a global border dof passes through as identity.
     """
-    T, dm = sysm.mesh, sysm.dofmap
-    dofs = dec.dofs[i]
-    m = len(dofs)
-    elems = dec.elems[i]
-    iface, gamma = interface_edges(T, elems)
-    # the local pressure is pinned iff some boundary edge keeps free BDM dofs
-    # (a sigma_nn-type natural condition); otherwise the problem floats
-    floating = ((len(gamma) == 0 or dm.bc_kind == NVTF)
-                and (len(iface) == 0 or ic == NVTF))
-
-    fixed = [trace_dofs(dm.n_edges, iface, ic)[0].ravel(),
-             np.intersect1d(dm.constrained, dofs)]
-    pin = np.searchsorted(dofs, dm.n_geometric)
-    border = None
-    if floating:
-        border = (pin, np.searchsorted(dofs, dm.pres_dof(elems)), T.areas[elems])
-    elif dm.bc_kind == NVTF:
-        fixed.append([dm.mean_constraint_dof])
-    fixed = np.searchsorted(dofs, np.concatenate(fixed))
-
-    rows, cols, vals = element_triplets(T, dm, sysm.nu, sysm.tau, sysm.eps,
-                                        elems=elems)
-    return constrained_matrix(max(m, pin + 1) if floating else m,
-                              np.searchsorted(dofs, rows), np.searchsorted(dofs, cols),
-                              vals, fixed, border)
+    T, dm, dofs = sysm.mesh, sysm.dofmap, dec.dofs[i]
+    tris = T.triangles[dec.elems[i]]
+    verts, local = np.unique(tris, return_inverse=True)
+    Ti = Triangulation(T.vertices[verts], local.reshape(tris.shape))
+    kind = np.full(T.n_edges, ic)
+    kind[dm.boundary_edges] = dm.boundary_kinds
+    edges = np.unique(T.tri_edges[dec.elems[i]])  # global index of each local edge
+    B = assemble(Ti, build_dof_map(Ti, kind[edges[Ti.boundary_edge]]),
+                 sysm.nu, sysm.tau, sysm.eps).A
+    if B.shape[0] < len(dofs):  # the global border dof of a non-floating problem
+        B = sp.block_diag([B, sp.identity(1)], format="csr")
+    return B
 
 
 def build_mras(sysm, dec, ic):

@@ -2,10 +2,13 @@
 
 The assembled matrix is [[A_a, B^T], [B, 0]] with B the (negative)
 divergence coupling, so the full matrix is symmetric for eps = -1.
-Essential conditions are applied by symmetric row/column elimination to
-identity; prescribed nonzero values are lifted into the right hand side.
-With NVTF boundary conditions one bordered row/column enforces the
-zero-mean pressure constraint (entries: triangle areas).
+The boundary conditions are those of the DofMap, one kind per boundary
+edge (fem_space). Essential conditions are applied by symmetric row/column
+elimination to identity; prescribed nonzero values are lifted into the
+right hand side. When every boundary edge is NVTF one bordered row/column
+enforces the zero-mean pressure constraint (entries: triangle areas). The
+MRAS local problems are this same assembly on a subdomain mesh
+(schwarz.mras_local_matrix).
 
 AssembledSystem is all the later stages take; its order (the mesh's nested
 dissection) is computed once and orders the reference and Schwarz factors.
@@ -40,15 +43,13 @@ class AssembledSystem:
         return dissection_order(self.mesh, self.dofmap)
 
 
-def element_triplets(T, dm, nu, tau, eps, elems=None, rhs=None, f=None):
-    """COO triplets (global indices) of the a- and b-form blocks over a set
-    of elements; used for the global system and for MRAS local matrices.
-
-    Triplets come in element order, each element's 9x9 a-block followed by
-    its pressure row and column; with f given, body loads are added to rhs.
+def element_triplets(T, dm, nu, tau, eps, rhs=None, f=None):
+    """COO triplets (global indices) of the a- and b-form blocks of every
+    triangle of T, in triangle order, each triangle's 9x9 a-block followed
+    by its pressure row and column; with f given, body loads are added to rhs.
     """
-    ker = ElementStack(T, elems)
-    gdofs, p = element_dofs(dm, ker.edge_ids, ker.elems)
+    ker = ElementStack(T)
+    gdofs, p = element_dofs(dm, T.tri_edges)
     ne = len(ker)
     A_loc = local_a(ker, nu, tau, eps)
     b_loc = local_b(ker)
@@ -62,18 +63,23 @@ def element_triplets(T, dm, nu, tau, eps, elems=None, rhs=None, f=None):
 
 
 def assemble(T, dm, nu=1.0, tau=6.0, eps=-1, f=None, g=None, constrained_values=None):
-    """Assemble the hdG Stokes system on T for the bc regime recorded in dm.
+    """Assemble the hdG Stokes system on T under the boundary conditions of dm.
 
-    constrained_values (aligned with dm.constrained) prescribes nonzero
-    essential values, which are lifted into the right hand side.
+    g is the boundary datum of every boundary edge, evaluated per kind group
+    of dm (TVNF, then NVTF). constrained_values (aligned with dm.constrained)
+    prescribes nonzero essential values, which are lifted into the right
+    hand side. The constrained dofs are eliminated to identity: triplets in
+    their rows and columns are dropped and each gets a unit diagonal. Entries
+    summing to exactly zero are not stored.
     """
     n = dm.n_total
     rhs = np.zeros(n)
     rows, cols, vals = element_triplets(T, dm, nu, tau, eps, rhs=rhs, f=f)
 
     if g is not None:
-        bnd = np.flatnonzero(T.boundary_edge)
-        rhs[trace_dofs(dm.n_edges, bnd, dm.bc_kind)[1]] += edge_load(T, bnd, g, dm.bc_kind)
+        for kind, edges in dm.boundary_groups():
+            if len(edges):
+                rhs[trace_dofs(dm.n_edges, edges, kind)[1]] += edge_load(T, edges, g, kind)
 
     fixed = dm.constrained
     x_fixed = np.zeros(n)
@@ -81,40 +87,22 @@ def assemble(T, dm, nu=1.0, tau=6.0, eps=-1, f=None, g=None, constrained_values=
         x_fixed[fixed] = constrained_values
         rhs -= np.bincount(rows, weights=vals * x_fixed[cols], minlength=n)
     rhs[fixed] = x_fixed[fixed]
-    border = None
-    if dm.bc_kind == NVTF:
-        border = (dm.mean_constraint_dof, dm.pres_dof(np.arange(dm.n_tris)), T.areas)
-    A = constrained_matrix(n, rows, cols, vals, fixed, border)
-    return AssembledSystem(A=A, rhs=rhs, dofmap=dm, nu=nu, tau=tau, eps=eps, mesh=T)
 
-
-def constrained_matrix(n, rows, cols, vals, fixed, border=None):
-    """CSR (n, n) matrix of COO triplets with the dofs in fixed eliminated to
-    identity: triplets in a fixed row or column are dropped and each fixed dof
-    gets a unit diagonal. border = (r, idx, w) adds the symmetric row and
-    column r with weights w at idx (a mean-pressure constraint).
-
-    Entries summing to exactly zero are not stored. Serves the global system
-    and the MRAS local problems (schwarz.mras_local_matrix).
-    """
     free = np.ones(n, dtype=bool)
     free[fixed] = False
     keep = free[rows] & free[cols]
-    diag = np.flatnonzero(~free)
-    extra_rows, extra_cols, extra_vals = [diag], [diag], [np.ones(len(diag))]
-    if border is not None:
-        r, idx, w = border
-        extra_rows += [np.full(len(idx), r), idx]
-        extra_cols += [idx, np.full(len(idx), r)]
-        extra_vals += [w, w]
-    # the unit diagonal and the border follow the triplets and are always kept
-    keep = np.concatenate([keep, np.ones(sum(map(len, extra_rows)), dtype=bool)])
-    rows = np.concatenate([rows, *extra_rows])[keep]
-    cols = np.concatenate([cols, *extra_cols])[keep]
-    vals = np.concatenate([vals, *extra_vals])[keep]
-    A = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    rows, cols = [rows[keep], fixed], [cols[keep], fixed]
+    vals = [vals[keep], np.ones(len(fixed))]
+    r = dm.mean_constraint_dof
+    if r is not None:  # the symmetric border row and column, weights: triangle areas
+        p = dm.pres_dof(np.arange(dm.n_tris))
+        rows += [np.full(dm.n_tris, r), p]
+        cols += [p, np.full(dm.n_tris, r)]
+        vals += [T.areas, T.areas]
+    A = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(n, n)).tocsr()
     A.eliminate_zeros()
-    return A
+    return AssembledSystem(A=A, rhs=rhs, dofmap=dm, nu=nu, tau=tau, eps=eps, mesh=T)
 
 
 def manufactured_data(exact, nu, bc):

@@ -175,7 +175,7 @@ def _element_fields(T, dm, x):
     """Element stack of T and the solution's per-triangle BDM dof values (nt, 6),
     multipliers (nt, 3) and pressures (nt,)."""
     ker = ElementStack(T)
-    gdofs, pdofs = element_dofs(dm, ker.edge_ids, ker.elems)
+    gdofs, pdofs = element_dofs(dm, T.tri_edges)
     return ker, x[gdofs[:, :6]], x[gdofs[:, 6:]], x[pdofs]
 
 

@@ -52,6 +52,34 @@ def test_unknown_bc_rejected():
         build_dof_map(T, "dirichlet")
 
 
+def test_mixed_kinds_constrain_each_edge_by_its_own_kind():
+    # one kind per boundary edge: the constrained set is the union of each
+    # edge's fixed trace dofs, and the mean-pressure dof exists iff every
+    # boundary edge is NVTF
+    T = generate("unit_square", 3)
+    bnd = np.flatnonzero(T.boundary_edge)
+    rng = np.random.default_rng(5)
+    for kinds in [rng.choice([TVNF, NVTF], len(bnd)), np.full(len(bnd), NVTF),
+                  np.where(np.arange(len(bnd)) == 4, TVNF, NVTF)]:
+        dm = build_dof_map(T, kinds)
+        want = set()
+        for e, kind in zip(bnd, kinds):
+            want |= set(np.atleast_1d(trace_dofs(dm.n_edges, e, kind)[0]).tolist())
+        assert set(dm.constrained.tolist()) == want
+        assert len(dm.constrained) == len(want)
+        floats = bool(np.all(kinds == NVTF))
+        assert (dm.mean_constraint_dof is not None) == floats
+        assert dm.n_total == 3 * dm.n_edges + dm.n_tris + floats
+
+
+def test_unknown_edge_kind_rejected():
+    T = generate("unit_square", 2)
+    kinds = np.full(int(T.boundary_edge.sum()), TVNF, dtype=object)
+    kinds[3] = "dirichlet"
+    with pytest.raises(ValueError, match="dirichlet"):
+        build_dof_map(T, kinds)
+
+
 def test_dof_locations():
     T = generate("unit_square", 1)
     dm = build_dof_map(T, TVNF)

@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from hdgstokes import NVTF, build_dof_map, generate, refine_uniform, verify
-from hdgstokes.fem_space import element_dofs
+from hdgstokes import generate, refine_uniform
 from hdgstokes.local_assembly import (ElementStack, GeometryError, edge_load,
                                       local_a, local_b, local_load)
 from hdgstokes.mesh import Triangulation
 from hdgstokes.quadrature import BDM_NODES, TRI_RULE, edge_gauss
-from hdgstokes.system import element_triplets
 
 
 def reference_mesh():
@@ -124,35 +122,6 @@ def test_divergence_constant_and_integral():
 def test_degenerate_triangle_raises():
     with pytest.raises((GeometryError, Exception)):
         ElementStack(Triangulation([(0, 0), (1, 0), (2, 0.0)], [[0, 1, 2]]))
-
-
-def test_element_subset_matches_full_batch():
-    # the MRAS rebuild assembles over element subsets: every stacked quantity
-    # of a subset, and its triplets and loads, are the matching full-mesh rows
-    T = generate("unit_square", 4)
-    inner = (T.vertices > 0).all(axis=1) & (T.vertices < 1).all(axis=1)
-    jitter = np.random.default_rng(9).uniform(-0.05, 0.05, T.vertices.shape)
-    T = Triangulation(T.vertices + inner[:, None] * jitter, T.triangles)
-    elems = np.array([17, 3, 30, 19, 8, 22])  # 3 and 19 share an edge
-    full, sub = ElementStack(T), ElementStack(T, elems)
-    f = verify.catalogue("bubble").f
-    for a, b in [(sub.coeffs, full.coeffs[elems]), (sub.n_out, full.n_out[elems]),
-                 (local_a(sub, 1.0, 6.0, -1), local_a(full, 1.0, 6.0, -1)[elems]),
-                 (local_b(sub), local_b(full)[elems]),
-                 (local_load(sub, f), local_load(full, f)[elems])]:
-        assert np.allclose(a, b, rtol=1e-14, atol=1e-14 * np.abs(b).max())
-
-    dm = build_dof_map(T, NVTF)
-    r_full, r_sub = np.zeros(dm.n_total), np.zeros(dm.n_total)
-    trip_full = element_triplets(T, dm, 1.0, 6.0, 1, rhs=r_full, f=f)
-    trip_sub = element_triplets(T, dm, 1.0, 6.0, 1, elems=elems, rhs=r_sub, f=f)
-    for a, b in zip(trip_sub, trip_full):
-        b = b.reshape(T.n_triangles, -1)[elems].ravel()
-        assert np.allclose(a, b, rtol=1e-14, atol=1e-14 * np.abs(b).max())
-    gdofs, _ = element_dofs(dm, T.tri_edges, np.arange(T.n_triangles))
-    r_ref = np.zeros(dm.n_total)
-    np.add.at(r_ref, gdofs[elems, :6], local_load(full, f)[elems])
-    assert np.allclose(r_sub, r_ref, rtol=1e-14, atol=1e-14 * np.abs(r_ref).max())
 
 
 # --- local bilinear forms -------------------------------------------------
@@ -358,7 +327,8 @@ def test_trace_inequality_constant_stable_under_refinement():
         T = refine_uniform(T)
     assert max(cs) - min(cs) < 1e-8  # structured elements are self-similar
     rng = np.random.default_rng(2)
-    ker = ElementStack(generate("unit_square", 4), [5])
+    T = generate("unit_square", 4)
+    ker = ElementStack(Triangulation(T.vertices[T.triangles[5]], [[0, 1, 2]]))
     C = element_trace_constants(ker)[0]
     pts, w = TRI_RULE
     xy = pts @ ker.verts[0]

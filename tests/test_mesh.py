@@ -198,3 +198,13 @@ def test_read_mesh_negative_count_is_header_error(tmp_path):
     path.write_text("-1 1\n0 1 2\n")
     with pytest.raises(mesh.MeshError, match=":1:"):
         mesh.read_mesh(path)
+
+
+@pytest.mark.parametrize("x", ["nan", "inf"])
+def test_read_mesh_non_finite_vertex(tmp_path, x):
+    # a NaN vertex gives NaN areas and an inf vertex an inf area, and neither
+    # fails the area test, so the coordinates themselves are checked
+    path = tmp_path / "bad.txt"
+    path.write_text(f"3 1\n0 0\n{x} 0\n0 1\n0 1 2\n")
+    with pytest.raises(mesh.MeshError, match="finite"):
+        mesh.read_mesh(path)

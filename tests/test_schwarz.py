@@ -4,7 +4,7 @@ import scipy.sparse.linalg as spla
 
 from hdgstokes import NVTF, TVNF, Triangulation, build_dof_map, generate
 from hdgstokes import krylov, schwarz, system, verify
-from hdgstokes.fem_space import edge_dofs
+from hdgstokes.fem_space import edge_dofs, trace_dofs
 
 
 def assembled(case, n, eps=-1):
@@ -13,6 +13,12 @@ def assembled(case, n, eps=-1):
     dm = build_dof_map(T, ex.bc)
     sysm = system.assemble(T, dm, eps=eps, f=ex.f, g=ex.g)
     return ex, T, dm, sysm
+
+
+def subdomain_boundary_edges(T, elems):
+    """The edges that bound the triangle set elems: (interface, on Gamma)."""
+    once = np.bincount(T.tri_edges[elems].ravel(), minlength=T.n_edges) == 1
+    return np.flatnonzero(once & ~T.boundary_edge), np.flatnonzero(once & T.boundary_edge)
 
 
 # --- partitioning ----------------------------------------------------------
@@ -26,7 +32,7 @@ def test_uniform_2x1_counts():
 
 def test_uniform_2x2_counts():
     T = generate("unit_square", 4)
-    parts = schwarz.decompose(T, ("uniform", 2, 2))
+    parts = schwarz.decompose(T, "uniform:2x2")
     assert list(np.bincount(parts)) == [8, 8, 8, 8]
 
 
@@ -206,7 +212,7 @@ def test_ras_bordered_local_solves_match_full_lu(n, spec_, eps):
     for case, l in [("bubble", 1), ("bubble", 2), ("curl_trig", 1), ("curl_trig", 2)]:
         ex, T, dm, sysm = assembled(case, n, eps)
         dec = schwarz.build_decomposition(T, dm, schwarz.decompose(T, spec_), l)
-        if dm.bc_kind == NVTF:
+        if dm.mean_constraint_dof is not None:
             assert all(d[-1] == dm.mean_constraint_dof for d in dec.dofs)
         for kind in ("ras", TVNF, NVTF):
             pre, mats = local_problems(sysm, dec, kind)
@@ -273,30 +279,37 @@ def test_preconditioner_apply_is_linear():
 
 
 def test_mras_local_matrix_differs_only_on_interface_rows():
-    ex, T, dm, sysm = assembled("bubble", 8)
-    parts = schwarz.decompose(T, "uniform:2x2")
-    dec = schwarz.build_decomposition(T, dm, parts, 1)
-    for ic in (TVNF, NVTF):
-        i = 0
-        B = schwarz.mras_local_matrix(sysm, dec, i, ic)
-        dofs = dec.dofs[i]
-        assert B.shape == (len(dofs), len(dofs))
-        S = sysm.A[dofs, :][:, dofs].tocsc()
-        iface, _ = schwarz.interface_edges(T, dec.elems[i])
-        iface_dofs = np.concatenate([2 * iface, 2 * iface + 1,
-                                     2 * dm.n_edges + iface])
-        if ic == TVNF:
-            # non-floating local TVNF problem drops the global mean row
-            iface_dofs = np.concatenate([iface_dofs, [dm.mean_constraint_dof]])
-        marked = set(np.searchsorted(dofs, iface_dofs))
-        D = (B - S).tocoo()
-        assert len(iface) > 0
-        touched = set()
-        for r, c, v in zip(D.row, D.col, D.data):
-            if abs(v) > 1e-13:
-                assert r in marked or c in marked
-                touched.add(r if r in marked else c)
-        assert touched  # the surgery really changed the interface rows
+    # both global bc (bubble: NVTF, curl_trig: TVNF) and both interface conditions
+    for case in ("bubble", "curl_trig"):
+        ex, T, dm, sysm = assembled(case, 8)
+        parts = schwarz.decompose(T, "uniform:2x2")
+        dec = schwarz.build_decomposition(T, dm, parts, 1)
+        for ic in (TVNF, NVTF):
+            i = 0
+            B = schwarz.mras_local_matrix(sysm, dec, i, ic)
+            dofs = dec.dofs[i]
+            assert B.shape == (len(dofs), len(dofs))
+            S = sysm.A[dofs, :][:, dofs].tocsc()
+            iface, _ = subdomain_boundary_edges(T, dec.elems[i])
+            iface_dofs = np.concatenate([2 * iface, 2 * iface + 1,
+                                         2 * dm.n_edges + iface])
+            if ic == TVNF and dm.mean_constraint_dof is not None:
+                # non-floating local TVNF problem drops the global mean row
+                iface_dofs = np.concatenate([iface_dofs, [dm.mean_constraint_dof]])
+            marked = set(np.searchsorted(dofs, iface_dofs))
+            D = (B - S).tocoo()
+            assert len(iface) > 0
+            touched = set()
+            for r, c, v in zip(D.row, D.col, D.data):
+                if abs(v) > 1e-13:
+                    assert r in marked or c in marked
+                    touched.add(r if r in marked else c)
+            assert touched  # the surgery really changed the interface rows
+            # the interface traces that ic fixes have identity rows and columns
+            fixed = np.searchsorted(dofs, trace_dofs(dm.n_edges, iface, ic)[0].ravel())
+            Bd, eye = B.toarray(), np.eye(len(dofs))
+            assert np.array_equal(Bd[fixed], eye[fixed])
+            assert np.array_equal(Bd[:, fixed], eye[:, fixed])
 
 
 def test_mras_floating_subdomain_augmented():
@@ -308,7 +321,7 @@ def test_mras_floating_subdomain_augmented():
     pre = schwarz.build_mras(sysm, dec, NVTF)
     augmented = [F.n > len(d) for F, d in zip(pre.factors, pre.dofs)]
     assert sum(augmented) == 1
-    gamma_counts = [len(schwarz.interface_edges(T, dec.elems[i])[1])
+    gamma_counts = [len(subdomain_boundary_edges(T, dec.elems[i])[1])
                     for i in range(9)]
     assert augmented[int(np.argmin(gamma_counts))]
     v = np.ones(dm.n_total)

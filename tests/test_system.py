@@ -30,13 +30,37 @@ def linear_exact(bc, pressure):
     ex = ExactSolution(name="linear", bc=bc, nu=1.0, u=u, grad_u=grad_u,
                        p=lambda x, y: np.full_like(np.asarray(x, float), pressure),
                        lap_u=zero_vec, grad_p=zero_vec)
-    ex.f, ex.g = system.manufactured_data(ex, 1.0, bc)
+    if bc != MIXED:
+        ex.f, ex.g = system.manufactured_data(ex, 1.0, bc)
+        return ex
+    _, g_tvnf = system.manufactured_data(ex, 1.0, TVNF)
+    ex.f, g_nvtf = system.manufactured_data(ex, 1.0, NVTF)
+
+    def g(x, y, n, t):  # each edge's own datum; the edge nodes miss the corners
+        return np.where(np.isclose(x, 0) | np.isclose(y, 0),
+                        g_tvnf(x, y, n, t), g_nvtf(x, y, n, t))
+
+    ex.g = g
     return ex
+
+
+# TVNF on the sides x = 0 and y = 0, NVTF on x = 1 and y = 1: each velocity
+# component is fixed on one side of each kind (TVNF on x = 0, 1 and NVTF on
+# y = 0, 1 would fix u_y only and leave u = (1, 0) in the kernel)
+MIXED = "mixed"
+
+
+def boundary_kinds(T, bc):
+    """bc, or for MIXED the kind of each boundary edge by the side it lies on."""
+    if bc != MIXED:
+        return bc
+    mid = T.vertices[T.edges[T.boundary_edge]].mean(axis=1)
+    return np.where(np.isclose(mid, 0).any(axis=1), TVNF, NVTF)
 
 
 def solve_case(exact, n, eps=-1, lifted=False):
     T = generate("unit_square", n)
-    dm = build_dof_map(T, exact.bc)
+    dm = build_dof_map(T, boundary_kinds(T, exact.bc))
     vals = verify.interpolate(T, dm, exact)[dm.constrained] if lifted else None
     sysm = system.assemble(T, dm, nu=exact.nu, tau=6.0, eps=eps,
                            f=exact.f, g=exact.g, constrained_values=vals)
@@ -51,9 +75,10 @@ def test_zero_data_gives_zero_solution():
     assert np.abs(x).max() < 1e-14
 
 
-@pytest.mark.parametrize("bc,pressure", [(TVNF, 1.0), (NVTF, 0.0)])
+@pytest.mark.parametrize("bc,pressure", [(TVNF, 1.0), (NVTF, 0.0), (MIXED, 1.0)])
 @pytest.mark.parametrize("eps", [-1, 1])
 def test_polynomial_exactness(bc, pressure, eps):
+    # the MIXED case loads each boundary edge with the datum of its own kind
     ex = linear_exact(bc, pressure)
     T, dm, sysm, x = solve_case(ex, 4, eps=eps, lifted=True)
     xI = verify.interpolate(T, dm, ex)
