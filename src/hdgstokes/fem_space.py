@@ -11,8 +11,9 @@ tangent. Pressure: one constant per triangle. Block layout:
 
 Every boundary edge carries its own kind of condition, TVNF or NVTF. A
 condition fixes one velocity trace of its edge and loads the conjugate one
-(trace_dofs): TVNF fixes the multiplier (u_t) and its datum loads both BDM
-dofs; NVTF fixes both BDM dofs (u_n) and its datum loads the multiplier.
+(trace_dofs): TVNF fixes the multiplier (u_t) and the normal component of
+the boundary traction loads both BDM dofs; NVTF fixes both BDM dofs (u_n)
+and the tangential component loads the multiplier.
 When every boundary edge is NVTF, no normal velocity is free and the
 pressure is fixed only up to a constant: one extra row/column at index
 3E + T then enforces its zero mean. The DofMap is the one place these
@@ -167,8 +168,3 @@ def vertex_field_at_dofs(T, dm, f):
     out[2 * dm.n_edges:3 * dm.n_edges] = 0.5 * (lo + hi)
     out[3 * dm.n_edges:] = f[T.triangles].mean(axis=1)
     return out
-
-
-def dof_locations(T, dm):
-    """Physical point of each geometric dof (see vertex_field_at_dofs)."""
-    return vertex_field_at_dofs(T, dm, T.vertices)

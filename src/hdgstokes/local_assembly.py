@@ -23,6 +23,7 @@ m), then the 3 multipliers (6 + loc).
 
 import numpy as np
 
+from .fem_space import NVTF, TVNF
 from .quadrature import BDM_NODES, TRI_RULE, edge_gauss
 
 
@@ -153,11 +154,11 @@ def local_load(ker, f):
     return ker.area[:, None] * np.einsum("q,tqc,tqjc->tj", w, fv, ker.eval_basis(pts))
 
 
-def edge_load(T, edges, g, bc):
-    """Boundary-datum loads of the Gamma edges `edges` (one index or an array).
-
-    TVNF loads each edge's two BDM dofs through (v)_n, shape (ne, 2); NVTF
-    its multiplier dof through vtilde, shape (ne,).
+def edge_load(T, edges, g, kind):
+    """Loads of the Gamma edges `edges` (one index or an array) from the
+    traction g(x, y, n) (..., 2), n the outward unit normal. The kind picks
+    its component: TVNF loads g . n_out into each edge's two BDM dofs through
+    (v)_n, shape (ne, 2); NVTF g . t_E into its multiplier through vtilde, (ne,).
     """
     edges = np.atleast_1d(edges)
     interior = edges[~T.boundary_edge[edges]]
@@ -174,13 +175,12 @@ def edge_load(T, edges, g, bc):
     params, w = _EDGE_QUAD
     pts = lo[:, None, :] + params[:, None] * d[:, None, :]
     n_q = np.broadcast_to(n_out[:, None, :], pts.shape)
-    t_q = np.broadcast_to(t_E[:, None, :], pts.shape)
-    gv = np.asarray(g(pts[..., 0], pts[..., 1], n_q, t_q))
-    if bc == "tvnf":
+    gv = np.asarray(g(pts[..., 0], pts[..., 1], n_q))
+    if kind == TVNF:
         # v . n_out at the dof nodes is sign * Lagrange basis on the 2 Gauss nodes
         x0, x1 = BDM_NODES
         ell = np.column_stack([(params - x1) / (x0 - x1), (params - x0) / (x1 - x0)])
-        return (sign * L)[:, None] * ((w * gv) @ ell)
-    if bc == "nvtf":
-        return L * (gv @ w)
-    raise ValueError(f"unknown bc {bc!r}")
+        return (sign * L)[:, None] * ((w * np.einsum("eqc,ec->eq", gv, n_out)) @ ell)
+    if kind == NVTF:
+        return L * (np.einsum("eqc,ec->eq", gv, t_E) @ w)
+    raise ValueError(f"unknown boundary condition kind {kind!r}")

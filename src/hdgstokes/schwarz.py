@@ -25,6 +25,7 @@ problem floats and so gets a mean-pressure border row (for a TVNF global
 system, one extra row past the subdomain's dofs).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,14 +75,17 @@ def parse_strategy(spec):
 def decompose(T, spec):
     """Non-overlapping partition from a strategy spec (see parse_strategy).
     Returns one part id per triangle."""
-    strategy = parse_strategy(spec)
-    kind = strategy[0]
-    if kind == "uniform":
-        px, py = strategy[1:]
-        return _require_nonempty(partition_uniform(T, px, py), px * py)
-    if kind == "bisect":
-        return _require_nonempty(partition_bisect(T, strategy[1]), strategy[1])
-    return partition_from_file(T, strategy[1])
+    kind, *args = parse_strategy(spec)
+    if kind == "file":
+        return partition_from_file(T, *args)
+    n_parts = math.prod(args)
+    # checked before partitioning, which needs int64 part ids and a counter per part
+    if n_parts > T.n_triangles:
+        raise ValueError(f"{spec!r} asks for {n_parts} parts of {T.n_triangles} triangles, "
+                         f"so the partition leaves {n_parts - T.n_triangles} of {n_parts} "
+                         f"parts empty or more")
+    parts = partition_uniform(T, *args) if kind == "uniform" else partition_bisect(T, n_parts)
+    return _require_nonempty(parts, n_parts)
 
 
 def _require_nonempty(parts, n_parts):
@@ -124,12 +128,15 @@ def partition_bisect(T, n_parts):
 
 
 def partition_from_file(T, path):
-    """Read one part id per triangle (METIS .epart compatible)."""
-    parts = np.loadtxt(path, dtype=np.int64, ndmin=1)
-    if len(parts) != T.n_triangles:
-        raise ValueError(f"partition file has {len(parts)} entries, "
+    """Read one part id in 0..n_triangles-1 per triangle (METIS .epart compatible)."""
+    with open(path) as fh:
+        ids = [int(word) for word in fh.read().split()]
+    if len(ids) != T.n_triangles:
+        raise ValueError(f"partition file has {len(ids)} entries, "
                          f"mesh has {T.n_triangles} triangles")
-    return _require_nonempty(parts, parts.max() + 1)
+    if not 0 <= min(ids) <= max(ids) < T.n_triangles:
+        raise ValueError(f"partition file has part ids outside 0..{T.n_triangles - 1}")
+    return _require_nonempty(np.array(ids, dtype=np.int64), max(ids) + 1)
 
 
 def add_overlap(T, parts, l):

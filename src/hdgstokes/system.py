@@ -1,13 +1,15 @@
-"""Global saddle-point assembly, constraints, and manufactured data.
+"""Global saddle-point assembly and constraints.
 
 The assembled matrix is [[A_a, B^T], [B, 0]] with B the (negative)
 divergence coupling, so the full matrix is symmetric for eps = -1.
 The boundary conditions are those of the DofMap, one kind per boundary
-edge (fem_space). Essential conditions are applied by symmetric row/column
-elimination to identity; prescribed nonzero values are lifted into the
-right hand side. When every boundary edge is NVTF one bordered row/column
-enforces the zero-mean pressure constraint (entries: triangle areas). The
-MRAS local problems are this same assembly on a subdomain mesh
+edge (fem_space), and the boundary datum is the traction sigma(u, p) n,
+whose normal (TVNF) or tangential (NVTF) component each edge loads.
+Essential conditions are applied by symmetric row/column elimination to
+identity; prescribed nonzero values are lifted into the right hand side.
+When every boundary edge is NVTF one bordered row/column enforces the
+zero-mean pressure constraint (entries: triangle areas). The MRAS local
+problems are this same assembly on a subdomain mesh
 (schwarz.mras_local_matrix).
 
 AssembledSystem is all the later stages take; its order (the mesh's nested
@@ -21,7 +23,7 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
-from .fem_space import NVTF, TVNF, DofMap, dissection_order, element_dofs, trace_dofs
+from .fem_space import DofMap, dissection_order, element_dofs, trace_dofs
 from .krylov import Factorization
 from .local_assembly import ElementStack, edge_load, local_a, local_b, local_load
 from .mesh import Triangulation
@@ -65,12 +67,14 @@ def element_triplets(T, dm, nu, tau, eps, rhs=None, f=None):
 def assemble(T, dm, nu=1.0, tau=6.0, eps=-1, f=None, g=None, constrained_values=None):
     """Assemble the hdG Stokes system on T under the boundary conditions of dm.
 
-    g is the boundary datum of every boundary edge, evaluated per kind group
-    of dm (TVNF, then NVTF). constrained_values (aligned with dm.constrained)
-    prescribes nonzero essential values, which are lifted into the right
-    hand side. The constrained dofs are eliminated to identity: triplets in
-    their rows and columns are dropped and each gets a unit diagonal. Entries
-    summing to exactly zero are not stored.
+    f is the body force f(x, y) and g the boundary traction g(x, y, n); each
+    boundary edge loads the component of g that its kind in dm picks
+    (local_assembly.edge_load), per kind group (TVNF, then NVTF).
+    constrained_values (aligned with dm.constrained) prescribes nonzero
+    essential values, which are lifted into the right hand side. The
+    constrained dofs are eliminated to identity: triplets in their rows and
+    columns are dropped and each gets a unit diagonal. Entries summing to
+    exactly zero are not stored.
     """
     n = dm.n_total
     rhs = np.zeros(n)
@@ -103,29 +107,6 @@ def assemble(T, dm, nu=1.0, tau=6.0, eps=-1, f=None, g=None, constrained_values=
                       shape=(n, n)).tocsr()
     A.eliminate_zeros()
     return AssembledSystem(A=A, rhs=rhs, dofmap=dm, nu=nu, tau=tau, eps=eps, mesh=T)
-
-
-def manufactured_data(exact, nu, bc):
-    """Body force and boundary datum callbacks from a closed-form exact solution.
-
-    f = -nu lap(u) + grad(p); TVNF g = nu (grad(u) n).n - p, NVTF g = nu (grad(u) n).t.
-    """
-    lap_u, grad_p, grad_u, p = exact.lap_u, exact.grad_p, exact.grad_u, exact.p
-
-    def f(x, y):
-        return -nu * np.asarray(lap_u(x, y)) + np.asarray(grad_p(x, y))
-
-    if bc == TVNF:
-        def g(x, y, n, t):
-            gn = np.einsum("...ij,...j->...i", np.asarray(grad_u(x, y)), n)
-            return nu * np.einsum("...i,...i->...", gn, n) - np.asarray(p(x, y))
-    elif bc == NVTF:
-        def g(x, y, n, t):
-            gn = np.einsum("...ij,...j->...i", np.asarray(grad_u(x, y)), n)
-            return nu * np.einsum("...i,...i->...", gn, t)
-    else:
-        raise ValueError(f"unknown bc {bc!r}")
-    return f, g
 
 
 def solve_direct(system):

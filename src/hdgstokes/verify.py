@@ -11,7 +11,8 @@ tangent, so in the stabilisation term of the error the exact traces
 cancel and only utilde_h - Phi0(u_h . t_E) remains.
 
 All catalogue callbacks broadcast over numpy arrays; components sit on
-the last axis.
+the last axis. A case's body force f and boundary traction g follow from
+its fields alone; each boundary edge's kind picks the component of g it loads.
 """
 
 from dataclasses import dataclass
@@ -22,7 +23,6 @@ import numpy as np
 from .fem_space import NVTF, TVNF, edge_dofs, element_dofs
 from .local_assembly import ElementStack
 from .quadrature import BDM_NODES, TRI_RULE, edge_gauss
-from .system import manufactured_data
 
 
 @dataclass
@@ -35,8 +35,15 @@ class ExactSolution:
     p: Callable
     lap_u: Callable
     grad_p: Callable
-    f: Callable = None
-    g: Callable = None
+
+    def f(self, x, y):
+        """Body force -nu lap(u) + grad(p)."""
+        return -self.nu * np.asarray(self.lap_u(x, y)) + np.asarray(self.grad_p(x, y))
+
+    def g(self, x, y, n):
+        """Traction nu grad(u) n - p n at points with unit normals n; (..., 2)."""
+        gn = np.einsum("...ij,...j->...i", np.asarray(self.grad_u(x, y)), n)
+        return self.nu * gn - np.asarray(self.p(x, y))[..., None] * n
 
 
 def _curl_trig_factors():
@@ -75,27 +82,28 @@ def _curl_trig_factors():
     return G, dG, d2G, d3G
 
 
-def _stream_case(name, bc, nu, A, G, dG, d2G, d3G, p, grad_p):
-    """Divergence-free u = curl(A G(x) G(y)) plus a given pressure."""
+def _stream_case(name, bc, nu, A, x_family, y_family, p, grad_p):
+    """Divergence-free u = curl(A X(x) Y(y)) plus a given pressure; each
+    family is a factor and its first three derivatives."""
+    X, dX, d2X, d3X = x_family
+    Y, dY, d2Y, d3Y = y_family
 
     def u(x, y):
-        return np.stack([A * G(x) * dG(y), -A * dG(x) * G(y)], axis=-1)
+        return np.stack([A * X(x) * dY(y), -A * dX(x) * Y(y)], axis=-1)
 
     def grad_u(x, y):
-        gxx = A * dG(x) * dG(y)
-        gxy = A * G(x) * d2G(y)
-        gyx = -A * d2G(x) * G(y)
+        gxx = A * dX(x) * dY(y)
+        gxy = A * X(x) * d2Y(y)
+        gyx = -A * d2X(x) * Y(y)
         return np.stack([np.stack([gxx, gxy], axis=-1),
                          np.stack([gyx, -gxx], axis=-1)], axis=-2)
 
     def lap_u(x, y):
-        return np.stack([A * (d2G(x) * dG(y) + G(x) * d3G(y)),
-                         -A * (d3G(x) * G(y) + dG(x) * d2G(y))], axis=-1)
+        return np.stack([A * (d2X(x) * dY(y) + X(x) * d3Y(y)),
+                         -A * (d3X(x) * Y(y) + dX(x) * d2Y(y))], axis=-1)
 
-    exact = ExactSolution(name=name, bc=bc, nu=nu, u=u, grad_u=grad_u,
-                          p=p, lap_u=lap_u, grad_p=grad_p)
-    exact.f, exact.g = manufactured_data(exact, nu, bc)
-    return exact
+    return ExactSolution(name=name, bc=bc, nu=nu, u=u, grad_u=grad_u,
+                         p=p, lap_u=lap_u, grad_p=grad_p)
 
 
 # the boundary conditions each manufactured case is posed with
@@ -106,7 +114,7 @@ def catalogue(name, nu=1.0):
     """Manufactured cases, each with its boundary conditions (CASE_BC)."""
     bc = CASE_BC.get(name)
     if name == "curl_trig":
-        G, dG, d2G, d3G = _curl_trig_factors()
+        trig = _curl_trig_factors()
 
         def p(x, y):
             return np.tan(x * y)
@@ -115,7 +123,7 @@ def catalogue(name, nu=1.0):
             s = 1 + np.tan(x * y) ** 2
             return np.stack([s * y, s * x], axis=-1)
 
-        return _stream_case("curl_trig", bc, nu, 100.0, G, dG, d2G, d3G, p, grad_p)
+        return _stream_case("curl_trig", bc, nu, 100.0, trig, trig, p, grad_p)
 
     if name == "bubble":
         def q(t):
@@ -137,21 +145,22 @@ def catalogue(name, nu=1.0):
             one = np.ones_like(np.asarray(x, dtype=float))
             return np.stack([one, -one], axis=-1)
 
-        return _stream_case("bubble", bc, nu, 1.0, q, dq, d2q, d3q, p, grad_p)
+        bump = (q, dq, d2q, d3q)
+        return _stream_case("bubble", bc, nu, 1.0, bump, bump, p, grad_p)
 
     if name == "poiseuille":
-        def u(x, y):
-            return np.stack([4 * y * (1 - y), np.zeros_like(np.asarray(y, dtype=float))],
-                            axis=-1)
+        # stream function 2y^2 - 4y^3/3 (times X = 1): u = (4y(1 - y), 0)
+        def q(t):
+            return 2 * t ** 2 - 4 * t ** 3 / 3
 
-        def grad_u(x, y):
-            z = np.zeros_like(np.asarray(x, dtype=float))
-            return np.stack([np.stack([z, 4 - 8 * y], axis=-1),
-                             np.stack([z, z], axis=-1)], axis=-2)
+        def dq(t):
+            return 4 * t * (1 - t)
 
-        def lap_u(x, y):
-            z = np.zeros_like(np.asarray(x, dtype=float))
-            return np.stack([z - 8, z], axis=-1)
+        def d2q(t):
+            return 4 - 8 * t
+
+        def d3q(t):
+            return np.zeros_like(t) - 8.0
 
         def p(x, y):
             return 4 - 8 * x
@@ -160,10 +169,8 @@ def catalogue(name, nu=1.0):
             z = np.zeros_like(np.asarray(x, dtype=float))
             return np.stack([z - 8, z], axis=-1)
 
-        exact = ExactSolution(name="poiseuille", bc=bc, nu=nu, u=u, grad_u=grad_u,
-                              p=p, lap_u=lap_u, grad_p=grad_p)
-        exact.f, exact.g = manufactured_data(exact, nu, bc)
-        return exact
+        flat = (np.ones_like, np.zeros_like, np.zeros_like, np.zeros_like)
+        return _stream_case("poiseuille", bc, nu, 1.0, flat, (q, dq, d2q, d3q), p, grad_p)
 
     raise ValueError(f"unknown exact solution {name!r}")
 

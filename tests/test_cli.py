@@ -186,12 +186,17 @@ PRECOND = ["precond", "--case", "bubble", "--n", "4"]
     (["converge", "--config", "CFG"], "case=bubble\nnu=nan\n"),
     (["precond", "--config", "CFG"], "case=bubble\nn=4\noverlap=0\n"),
     (PRECOND + ["--seed", "-1"], None),
+    (PRECOND + ["--parts", "uniform:100000000x100000000"], None),
+    (PRECOND + ["--parts", "bisect:10000000000000000"], None),
+    (PRECOND + ["--parts", "file:CFG"], ""),
+    (PRECOND + ["--parts", "file:CFG"], "-1\n" * 32),
 ], ids=["config-bad-choice", "config-bad-int", "config-unknown-key", "config-missing",
         "parts-uniform-0", "parts-bisect-0", "parts-malformed", "parts-uniform-empty",
         "parts-bisect-empty", "overlap-0", "info-n-0",
         "info-t-shape-odd", "parts-file-missing", "parts-file-short", "levels-0",
         "tau-negative", "tau-inf", "tol-inf", "config-nu-nan", "config-overlap-0",
-        "seed-negative"])
+        "seed-negative", "parts-uniform-huge", "parts-bisect-huge", "parts-file-empty",
+        "parts-file-negative"])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv, config):
     cfg = tmp_path / "run.cfg"
     if config is not None:

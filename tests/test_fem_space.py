@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hdgstokes import NVTF, TVNF, build_dof_map, dof_locations, generate, refine_uniform, system
-from hdgstokes.fem_space import dissection_order, edge_dofs, trace_dofs
+from hdgstokes import NVTF, TVNF, build_dof_map, generate, refine_uniform, system
+from hdgstokes.fem_space import dissection_order, edge_dofs, trace_dofs, vertex_field_at_dofs
 
 
 def test_counts_unit_square_1():
@@ -83,7 +83,7 @@ def test_unknown_edge_kind_rejected():
 def test_dof_locations():
     T = generate("unit_square", 1)
     dm = build_dof_map(T, TVNF)
-    pts = dof_locations(T, dm)
+    pts = vertex_field_at_dofs(T, dm, T.vertices)
     # edge (0,0)-(1,0) is edge (v0, v1); find it
     e = next(i for i, (a, b) in enumerate(T.edges)
              if np.allclose(T.vertices[a], [0, 0]) and np.allclose(T.vertices[b], [1, 0]))

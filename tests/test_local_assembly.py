@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from hdgstokes import generate, refine_uniform
+from hdgstokes import NVTF, TVNF, generate, refine_uniform
 from hdgstokes.local_assembly import (ElementStack, GeometryError, edge_load,
                                       local_a, local_b, local_load)
 from hdgstokes.mesh import Triangulation
@@ -277,31 +277,47 @@ def test_body_load_constant_force():
     assert np.allclose(load, ref, atol=1e-14)
 
 
+def tvnf_unit_load(T, bnd):
+    """sign * L / 2 on both BDM dofs of each edge: the TVNF load of g . n_out = 1."""
+    k = T.edge_tris[bnd, 0]
+    loc = np.argmax(T.tri_edges[k] == bnd[:, None], axis=1)
+    return np.repeat((T.tri_edge_sign[k, loc] * T.edge_len[bnd] / 2)[:, None], 2, axis=1)
+
+
 def test_edge_load_tvnf_unit_datum():
     T = generate("unit_square", 1)
-    g = lambda x, y, n, t: np.ones_like(np.asarray(x, float))
     bnd = np.flatnonzero(T.boundary_edge)
-    vals = edge_load(T, bnd, g, "tvnf")
-    for e, val in zip(bnd, vals):
-        L = T.edge_len[e]
-        k = T.edge_tris[e, 0]
-        loc = int(np.flatnonzero(T.tri_edges[k] == e)[0])
-        sign = T.tri_edge_sign[k, loc]
-        assert np.allclose(val, sign * L / 2 * np.ones(2), atol=1e-14)
+    vals = edge_load(T, bnd, lambda x, y, n: n, TVNF)
+    assert np.abs(vals - tvnf_unit_load(T, bnd)).max() < 1e-14
 
 
 def test_edge_load_nvtf_unit_datum():
     T = generate("unit_square", 1)
-    g = lambda x, y, n, t: np.ones_like(np.asarray(x, float))
+    c = np.array([0.3, -1.7])
     bnd = np.flatnonzero(T.boundary_edge)
-    assert np.abs(edge_load(T, bnd, g, "nvtf") - T.edge_len[bnd]).max() < 1e-14
+    vals = edge_load(T, bnd, lambda x, y, n: np.broadcast_to(c, n.shape), NVTF)
+    assert np.abs(vals - T.edge_len[bnd] * (T.edge_t[bnd] @ c)).max() < 1e-14
+
+
+def test_edge_load_projects_traction_off_the_axes():
+    # the unit square rotated by 30 degrees: no normal or tangent component is 0 or 1
+    T = generate("unit_square", 2)
+    a = np.pi / 6
+    T = Triangulation(T.vertices @ np.array([[np.cos(a), np.sin(a)],
+                                             [-np.sin(a), np.cos(a)]]), T.triangles)
+    bnd = np.flatnonzero(T.boundary_edge)
+    vals = edge_load(T, bnd, lambda x, y, n: 2.5 * n, TVNF)
+    assert np.abs(vals - 2.5 * tvnf_unit_load(T, bnd)).max() < 1e-14
+    c = np.array([0.3, -1.7])
+    vals = edge_load(T, bnd, lambda x, y, n: np.broadcast_to(c, n.shape), NVTF)
+    assert np.abs(vals - T.edge_len[bnd] * (T.edge_t[bnd] @ c)).max() < 1e-14
 
 
 def test_edge_load_interior_edge_rejected():
     T = generate("unit_square", 1)
     e = int(np.flatnonzero(~T.boundary_edge)[0])
     with pytest.raises(ValueError):
-        edge_load(T, e, lambda x, y, n, t: 1.0, "tvnf")
+        edge_load(T, e, lambda x, y, n: 1.0, TVNF)
 
 
 # --- discrete trace inequality --------------------------------------------
