@@ -1,19 +1,16 @@
 """Meshes, dof maps, and overlapping decompositions at a glance.
 
 Builds the unit square and T-shaped meshes, prints their topology
-statistics, writes/reads the plain-text mesh format, and shows how an
-overlapping decomposition with its partition of unity covers every dof.
+statistics, and shows how an overlapping decomposition with its partition
+of unity covers every dof.
 
 Run:  python demos/mesh_and_partition.py
 """
 
-import os
-import tempfile
-
 import numpy as np
 
 from hdgstokes import (NVTF, TVNF, build_decomposition, build_dof_map, decompose,
-                       dual_graph, generate, read_mesh, refine_uniform, write_mesh)
+                       generate, refine_uniform)
 
 
 def describe(name, T):
@@ -28,17 +25,6 @@ def main():
     describe("refined once  ", refine_uniform(sq))
     ts = generate("t_shape", 2)
     describe("t_shape(2)    ", ts)
-
-    adj = dual_graph(sq)
-    degs = np.array([len(a) for a in adj])
-    print(f"dual graph: mean degree {degs.mean():.2f}, max {degs.max()}")
-
-    with tempfile.TemporaryDirectory() as d:
-        path = os.path.join(d, "square.mesh")
-        write_mesh(sq, path)
-        back = read_mesh(path)
-        print(f"mesh file round-trip: {back.n_triangles} triangles, "
-              f"{back.n_edges} edges (matches: {back.n_edges == sq.n_edges})")
 
     for bc in (TVNF, NVTF):
         dm = build_dof_map(sq, bc)

@@ -47,7 +47,8 @@ class Triangulation:
                                     or self.triangles.max() >= len(self.vertices)):
             raise MeshError("triangle references a vertex index out of range")
         self._build_topology()
-        self.validate()
+        if np.any(self.areas <= 0):
+            raise MeshError("found a triangle with non-positive area (not CCW?)")
 
     def _build_topology(self):
         t = self.triangles
@@ -91,13 +92,6 @@ class Triangulation:
         l12 = np.linalg.norm(p2 - p1, axis=1)
         l20 = np.linalg.norm(p0 - p2, axis=1)
         self.h_K = np.max(np.column_stack([l01, l12, l20]), axis=1)
-
-    def validate(self):
-        if np.any(self.areas <= 0):
-            raise MeshError("found a triangle with non-positive area (not CCW?)")
-        nb = int(self.boundary_edge.sum())
-        if 2 * len(self.edges) != 3 * len(self.triangles) + nb:
-            raise MeshError("Euler edge relation violated")
 
     @property
     def n_vertices(self):
@@ -166,47 +160,3 @@ def refine_uniform(T):
         np.column_stack([m[:, 0], m[:, 1], m[:, 2]]),
     ])
     return Triangulation(verts, children)
-
-
-def dual_graph(T):
-    """Adjacency lists over triangles; triangles adjacent iff they share an edge."""
-    adj = [[] for _ in range(T.n_triangles)]
-    interior = ~T.boundary_edge
-    for t0, t1 in T.edge_tris[interior]:
-        adj[t0].append(t1)
-        adj[t1].append(t0)
-    return [sorted(a) for a in adj]
-
-
-def write_mesh(T, path):
-    """Plain-text mesh file: 'nv nt', nv lines 'x y', nt lines 'i j k'."""
-    with open(path, "w") as f:
-        f.write(f"{T.n_vertices} {T.n_triangles}\n")
-        for x, y in T.vertices:
-            f.write(f"{float(x)!r} {float(y)!r}\n")
-        for i, j, k in T.triangles:
-            f.write(f"{i} {j} {k}\n")
-
-
-def read_mesh(path):
-    """Parse a mesh file; topology is rebuilt, never stored."""
-    with open(path) as f:
-        lines = f.readlines()
-
-    def record(k, convert, form):
-        """The values of line k (1-based), one per field of form."""
-        parts = lines[k - 1].split() if k <= len(lines) else []
-        try:
-            values = [convert(p) for p in parts]
-        except ValueError:
-            values = []
-        if len(values) != len(form.split()):
-            raise MeshError(f"{path}:{k}: expected '{form}'")
-        return values
-
-    nv, nt = record(1, int, "nv nt")
-    if nv < 0 or nt < 0:
-        raise MeshError(f"{path}:1: negative count in 'nv nt'")
-    verts = [record(2 + i, float, "x y") for i in range(nv)]
-    tris = [record(2 + nv + i, int, "i j k") for i in range(nt)]
-    return Triangulation(np.reshape(verts, (nv, 2)), np.reshape(tris, (nt, 3)))

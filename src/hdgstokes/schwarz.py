@@ -105,14 +105,14 @@ def partition_uniform(T, px, py):
 
 
 def partition_bisect(T, n_parts):
-    """Recursive coordinate bisection of the barycenters into n_parts parts."""
-    if n_parts < 1:
-        raise ValueError("need at least one part")
+    """Recursive coordinate bisection of the barycenters into n_parts parts,
+    for 1 <= n_parts <= T.n_triangles (as decompose checks). Each split keeps
+    at least as many triangles as parts on either side, so no part is empty."""
     b = T.barycenters()
     parts = np.zeros(T.n_triangles, dtype=np.int64)
 
     def split(idx, n, offset):
-        if n == 1 or len(idx) == 0:  # no triangles left: parts stay empty
+        if n == 1:
             parts[idx] = offset
             return
         n1 = n // 2
@@ -128,7 +128,8 @@ def partition_bisect(T, n_parts):
 
 
 def partition_from_file(T, path):
-    """Read one part id in 0..n_triangles-1 per triangle (METIS .epart compatible)."""
+    """Read the part ids, whitespace-separated integers in 0..n_triangles-1,
+    one per triangle."""
     with open(path) as fh:
         ids = [int(word) for word in fh.read().split()]
     if len(ids) != T.n_triangles:

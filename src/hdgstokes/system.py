@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 from .fem_space import DofMap, dissection_order, element_dofs, trace_dofs
@@ -114,8 +113,3 @@ def solve_direct(system):
     dissection order of the mesh (system.order), refined against A
     (krylov.Factorization with refine=True)."""
     return Factorization(system.A, refine=True, order=system.order).solve(system.rhs)
-
-
-def dump_matrix(system, path):
-    """MatrixMarket coordinate dump for cross-checking in external tools."""
-    scipy.io.mmwrite(path, system.A.tocoo(), symmetry="general")

@@ -25,7 +25,8 @@ DEMOS = {
         + [r"h\s+err_h\s+order\s+err_l2_u\s+order"]),
     "mesh_and_partition": (
         [],
-        [r"unit_square\(4\): 25 vertices, 32 triangles", r"matches: True",
+        [r"unit_square\(4\): 25 vertices, 32 triangles",
+         r"2x2 decomposition: parts \[.*\] grow to",
          r"partition of unity: max \|sum of weights - 1\| = \S+"]),
 }
 

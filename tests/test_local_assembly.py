@@ -5,9 +5,8 @@ import pytest
 import scipy.linalg
 
 from hdgstokes import NVTF, TVNF, generate, refine_uniform
-from hdgstokes.local_assembly import (ElementStack, GeometryError, edge_load,
-                                      local_a, local_b, local_load)
-from hdgstokes.mesh import Triangulation
+from hdgstokes.local_assembly import ElementStack, edge_load, local_a, local_b, local_load
+from hdgstokes.mesh import MeshError, Triangulation
 from hdgstokes.quadrature import BDM_NODES, TRI_RULE, edge_gauss
 
 
@@ -120,7 +119,7 @@ def test_divergence_constant_and_integral():
 
 
 def test_degenerate_triangle_raises():
-    with pytest.raises((GeometryError, Exception)):
+    with pytest.raises(MeshError, match="non-positive area"):
         ElementStack(Triangulation([(0, 0), (1, 0), (2, 0.0)], [[0, 1, 2]]))
 
 

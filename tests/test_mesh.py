@@ -131,80 +131,21 @@ def test_edge_frame(T):
         assert np.isclose(t[0] * n[1] - t[1] * n[0], 1.0, rtol=0, atol=1e-15)
 
 
-def test_dual_graph_unit_square_1():
-    T = mesh.generate("unit_square", 1)
-    adj = mesh.dual_graph(T)
-    assert adj == [[1], [0]]
+def test_read_mesh_vertex_out_of_range():
+    with pytest.raises(mesh.MeshError, match="out of range"):
+        mesh.Triangulation([(0, 0), (1, 0), (0, 1)], [[0, 1, 7]])
 
 
-def test_dual_graph_handshake():
-    T = mesh.generate("unit_square", 4)
-    adj = mesh.dual_graph(T)
-    degs = [len(a) for a in adj]
-    interior = T.n_edges - int(T.boundary_edge.sum())
-    assert sum(degs) == 2 * interior
-    assert max(degs) <= 3
-    for i, nbrs in enumerate(adj):
-        for j in nbrs:
-            assert i in adj[j]
-
-
-def test_dual_graph_corner_triangles():
-    # 8-triangle mesh: a triangle with two boundary edges has degree <= 2
-    T = mesh.generate("unit_square", 2)
-    adj = mesh.dual_graph(T)
-    n_bnd = (T.boundary_edge[T.tri_edges]).sum(axis=1)
-    for k in range(T.n_triangles):
-        if n_bnd[k] >= 1:
-            assert len(adj[k]) <= 2
-
-
-def test_mesh_file_roundtrip(tmp_path):
-    T = mesh.generate("unit_square", 1)
-    path = tmp_path / "m.txt"
-    mesh.write_mesh(T, path)
-    R = mesh.read_mesh(path)
-    assert R.n_vertices == T.n_vertices
-    assert R.n_triangles == T.n_triangles
-    assert R.n_edges == T.n_edges
-    assert np.array_equal(R.triangles, T.triangles)
-    assert np.allclose(R.vertices, T.vertices)
-
-
-def test_read_mesh_vertex_out_of_range(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("3 1\n0 0\n1 0\n0 1\n0 1 7\n")
-    with pytest.raises(mesh.MeshError):
-        mesh.read_mesh(path)
-
-
-def test_read_mesh_nonmanifold(tmp_path):
+def test_read_mesh_nonmanifold():
     # three triangles sharing the edge (0, 1)
-    path = tmp_path / "bad.txt"
-    path.write_text("5 3\n0 0\n1 0\n0 1\n0 -1\n1 1\n0 1 2\n0 3 1\n0 1 4\n")
-    with pytest.raises(mesh.MeshError):
-        mesh.read_mesh(path)
+    with pytest.raises(mesh.MeshError, match="non-manifold"):
+        mesh.Triangulation([(0, 0), (1, 0), (0, 1), (0, -1), (1, 1)],
+                           [[0, 1, 2], [0, 3, 1], [0, 1, 4]])
 
 
-def test_read_mesh_parse_error_has_line_number(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("2 1\n0 0\nnot-a-number 1\n0 1 2\n")
-    with pytest.raises(mesh.MeshError, match=":3:"):
-        mesh.read_mesh(path)
-
-
-def test_read_mesh_negative_count_is_header_error(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("-1 1\n0 1 2\n")
-    with pytest.raises(mesh.MeshError, match=":1:"):
-        mesh.read_mesh(path)
-
-
-@pytest.mark.parametrize("x", ["nan", "inf"])
-def test_read_mesh_non_finite_vertex(tmp_path, x):
+@pytest.mark.parametrize("x", [math.nan, math.inf])
+def test_read_mesh_non_finite_vertex(x):
     # a NaN vertex gives NaN areas and an inf vertex an inf area, and neither
     # fails the area test, so the coordinates themselves are checked
-    path = tmp_path / "bad.txt"
-    path.write_text(f"3 1\n0 0\n{x} 0\n0 1\n0 1 2\n")
     with pytest.raises(mesh.MeshError, match="finite"):
-        mesh.read_mesh(path)
+        mesh.Triangulation([(0, 0), (x, 0), (0, 1)], [[0, 1, 2]])

@@ -49,6 +49,10 @@ def test_bisect_covers_all_parts():
     T = generate("unit_square", 8)
     parts = schwarz.partition_bisect(T, 5)
     assert set(parts) == set(range(5))
+    # up to one triangle per part: no split may leave a part empty
+    T = generate("unit_square", 2)
+    for k in range(1, T.n_triangles + 1):
+        assert set(schwarz.partition_bisect(T, k)) == set(range(k))
 
 
 def test_partition_file_roundtrip(tmp_path):

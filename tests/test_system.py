@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.io
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -184,18 +183,6 @@ def test_consistency_residual_rate():
         T = refine_uniform(T)
     slopes = verify.eoc(norms, hs)
     assert slopes[-1] >= 0.9
-
-
-def test_matrix_market_dump(tmp_path):
-    T = generate("unit_square", 2)
-    dm = build_dof_map(T, TVNF)
-    sysm = system.assemble(T, dm)
-    path = tmp_path / "A.mtx"
-    system.dump_matrix(sysm, path)
-    header = path.read_text().splitlines()[0]
-    assert header == "%%MatrixMarket matrix coordinate real general"
-    B = scipy.io.mmread(path).tocsr()
-    assert (np.abs((B - sysm.A).data).max() if (B - sysm.A).nnz else 0.0) < 1e-15
 
 
 # --- reference solve: regularised symmetric-order factor plus refinement ----
