@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import krylov, mesh, schwarz, system, verify
-from .fem_space import build_dof_map
+from .fem_space import FIXES, build_dof_map
 from .verify import CASE_BC
 
 
@@ -68,7 +68,7 @@ def _build_parser():
     problem.add_argument("--out")
     problem.add_argument("--config")
     bc = argparse.ArgumentParser(add_help=False)
-    bc.add_argument("--bc", choices=["tvnf", "nvtf"])
+    bc.add_argument("--bc", choices=list(FIXES))
 
     p = _Parser(prog="hdgstokes")
     sub = p.add_subparsers(dest="command", required=True)
@@ -82,7 +82,7 @@ def _build_parser():
     q.add_argument("--n", type=_at_least_one)
     q.add_argument("--parts", type=_parts)
     q.add_argument("--overlap", type=_at_least_one)
-    q.add_argument("--precond", choices=["ras", "mras-tvnf", "mras-nvtf", "none"])
+    q.add_argument("--precond", choices=["ras", *(f"mras-{k}" for k in FIXES), "none"])
     q.add_argument("--tol", type=_positive)
     q.add_argument("--max-iter", type=_at_least_one)
     q.add_argument("--seed", type=_non_negative)
@@ -91,7 +91,7 @@ def _build_parser():
     i = sub.add_parser("info", description="mesh and dof statistics")
     i.add_argument("--domain", choices=["unit_square", "t_shape"], default="unit_square")
     i.add_argument("--n", type=_at_least_one, required=True)
-    i.add_argument("--bc", choices=["tvnf", "nvtf"], default="tvnf")
+    i.add_argument("--bc", choices=list(FIXES), default="tvnf")
 
     s = sub.add_parser("solve", parents=[problem], description="solve one case, export fields")
     s.add_argument("--domain")

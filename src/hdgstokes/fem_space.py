@@ -10,13 +10,14 @@ tangent. Pressure: one constant per triangle. Block layout:
     pressure dofs   [3E, 3E + T)  pres_dof(t)        = 3E + t
 
 Every boundary edge carries its own kind of condition, TVNF or NVTF. A
-condition fixes one velocity trace of its edge and loads the conjugate one
-(trace_dofs): TVNF fixes the multiplier (u_t) and the normal component of
-the boundary traction loads both BDM dofs; NVTF fixes both BDM dofs (u_n)
-and the tangential component loads the multiplier.
-When every boundary edge is NVTF, no normal velocity is free and the
-pressure is fixed only up to a constant: one extra row/column at index
-3E + T then enforces its zero mean. The DofMap is the one place these
+kind is one row of the table FIXES: which of its edge's three dofs it
+fixes; the boundary traction loads the others. TVNF fixes the multiplier
+(u_t) and the normal traction loads both BDM dofs; NVTF fixes both BDM
+dofs (u_n) and the tangential traction loads the multiplier.
+When no boundary edge leaves a normal dof free, the pressure is fixed
+only up to a constant: one extra row/column at index 3E + T then enforces
+its zero mean. A constant velocity has zero energy, so build_dof_map
+rejects kinds that leave one free. The DofMap is the one place these
 rules live; they serve the global boundary conditions on Gamma and the
 MRAS interface conditions alike (an MRAS local problem is a mesh of its
 own whose interface edges are boundary edges).
@@ -31,7 +32,8 @@ from .quadrature import BDM_NODES
 
 TVNF = "tvnf"
 NVTF = "nvtf"
-KINDS = (TVNF, NVTF)  # the order of the boundary groups
+# the dofs of an edge (BDM 0, BDM 1, multiplier; edge_dofs order) each kind fixes
+FIXES = {TVNF: (False, False, True), NVTF: (True, True, False)}
 
 
 @dataclass(frozen=True)
@@ -51,19 +53,20 @@ class DofMap:
 
     @property
     def mean_constraint_dof(self):
-        """The zero-mean pressure row, present iff every boundary edge is NVTF
-        (no boundary edge leaves a normal velocity free)."""
-        return self.n_geometric if np.all(self.boundary_kinds == NVTF) else None
+        """The zero-mean pressure row, present iff no boundary edge leaves a
+        normal dof free."""
+        return self.n_geometric if self.fixed[:, :2].all() else None
+
+    @cached_property
+    def fixed(self):
+        """(n_boundary_edges, 3) mask of the dofs of each boundary edge that
+        its kind fixes (FIXES); the traction loads the others."""
+        return np.array([FIXES[k] for k in self.boundary_kinds], dtype=bool).reshape(-1, 3)
 
     @cached_property
     def constrained(self):
         """Sorted global indices fixed by the boundary conditions."""
-        return np.sort(np.concatenate([trace_dofs(self.n_edges, edges, kind)[0].ravel()
-                                       for kind, edges in self.boundary_groups()]))
-
-    def boundary_groups(self):
-        """(kind, edges) for each kind in KINDS order; a group may be empty."""
-        return [(kind, self.boundary_edges[self.boundary_kinds == kind]) for kind in KINDS]
+        return np.sort(edge_dofs(self.n_edges, self.boundary_edges)[self.fixed])
 
     def pres_dof(self, tri):
         return 3 * self.n_edges + tri
@@ -74,17 +77,6 @@ def edge_dofs(n_edges, edges):
     BDM dof 1, multiplier."""
     edges = np.asarray(edges, dtype=np.int64)
     return np.stack([2 * edges, 2 * edges + 1, 2 * n_edges + edges], axis=-1)
-
-
-def trace_dofs(n_edges, edges, kind):
-    """(fixed, loaded) dofs of edges carrying a TVNF or NVTF condition: TVNF
-    fixes the multiplier and loads both BDM dofs, NVTF the reverse."""
-    dofs = edge_dofs(n_edges, edges)
-    if kind == TVNF:
-        return dofs[..., 2], dofs[..., :2]
-    if kind == NVTF:
-        return dofs[..., :2], dofs[..., 2]
-    raise ValueError(f"unknown boundary condition kind {kind!r}")
 
 
 def element_dofs(dm, tri_edges):
@@ -98,15 +90,29 @@ def element_dofs(dm, tri_edges):
 
 def build_dof_map(T, bc):
     """Number the dofs of the hybrid triple on T under the boundary conditions
-    bc: one kind (TVNF or NVTF) for all of Gamma, or one kind per boundary
-    edge in ascending edge order."""
+    bc: one kind of FIXES for all of Gamma, or one kind per boundary edge in
+    ascending edge order. Raises ValueError on an unknown kind and on kinds
+    that leave a constant velocity free: the fixed directions (n_E where an
+    edge fixes its BDM dofs, t_E where it fixes its multiplier) must span
+    the plane."""
     edges = np.flatnonzero(T.boundary_edge)
     kinds = np.broadcast_to(np.asarray(bc), edges.shape)
-    unknown = kinds[~np.isin(kinds, KINDS)]
+    unknown = kinds[~np.isin(kinds, list(FIXES))]
     if len(unknown):
         raise ValueError(f"unknown boundary condition kind {str(unknown[0])!r}")
-    return DofMap(n_edges=T.n_edges, n_tris=T.n_triangles,
-                  boundary_edges=edges, boundary_kinds=kinds)
+    dm = DofMap(n_edges=T.n_edges, n_tris=T.n_triangles,
+                boundary_edges=edges, boundary_kinds=kinds)
+    fixed = dm.fixed
+    dirs = np.concatenate([T.edge_n[edges[fixed[:, :2].any(axis=1)]],
+                           T.edge_t[edges[fixed[:, 2]]]])
+    # the unit rows have rank < 2 iff all are parallel to the first, so that
+    # the constant c normal to it is fixed by none (an SVD would load LAPACK)
+    c = np.array([-dirs[0, 1], dirs[0, 0]])
+    if np.abs(dirs @ c).max() <= 1e-12:
+        c = c * np.sign(c[np.argmax(np.abs(c))]) + 0.0  # no -0
+        raise ValueError(f"the boundary kinds leave the constant velocity "
+                         f"({c[0]:g}, {c[1]:g}) free")
+    return dm
 
 
 def dissection_order(T, dm):

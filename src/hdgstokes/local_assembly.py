@@ -23,7 +23,6 @@ m), then the 3 multipliers (6 + loc).
 
 import numpy as np
 
-from .fem_space import NVTF, TVNF
 from .quadrature import BDM_NODES, TRI_RULE, edge_gauss
 
 
@@ -154,16 +153,13 @@ def local_load(ker, f):
     return ker.area[:, None] * np.einsum("q,tqc,tqjc->tj", w, fv, ker.eval_basis(pts))
 
 
-def edge_load(T, edges, g, kind):
-    """Loads of the Gamma edges `edges` (one index or an array) from the
-    traction g(x, y, n) (..., 2), n the outward unit normal. The kind picks
-    its component: TVNF loads g . n_out into each edge's two BDM dofs through
-    (v)_n, shape (ne, 2); NVTF g . t_E into its multiplier through vtilde, (ne,).
-    """
-    edges = np.atleast_1d(edges)
-    interior = edges[~T.boundary_edge[edges]]
-    if len(interior):
-        raise ValueError(f"edges {interior.tolist()} are not boundary edges")
+def edge_load(T, g):
+    """Loads of every Gamma edge of T (ascending) from the traction g(x, y, n)
+    (..., 2), n the outward unit normal; shape (nb, 3) in edge-dof order:
+    g . n_out into the two BDM dofs through (v)_n, g . t_E into the
+    multiplier through vtilde. A kind takes the loads of the dofs it leaves
+    free (fem_space.FIXES)."""
+    edges = np.flatnonzero(T.boundary_edge)
     k = T.edge_tris[edges, 0]
     loc = np.argmax(T.tri_edges[k] == edges[:, None], axis=1)
     sign = T.tri_edge_sign[k, loc].astype(float)
@@ -176,11 +172,8 @@ def edge_load(T, edges, g, kind):
     pts = lo[:, None, :] + params[:, None] * d[:, None, :]
     n_q = np.broadcast_to(n_out[:, None, :], pts.shape)
     gv = np.asarray(g(pts[..., 0], pts[..., 1], n_q))
-    if kind == TVNF:
-        # v . n_out at the dof nodes is sign * Lagrange basis on the 2 Gauss nodes
-        x0, x1 = BDM_NODES
-        ell = np.column_stack([(params - x1) / (x0 - x1), (params - x0) / (x1 - x0)])
-        return (sign * L)[:, None] * ((w * np.einsum("eqc,ec->eq", gv, n_out)) @ ell)
-    if kind == NVTF:
-        return L * (np.einsum("eqc,ec->eq", gv, t_E) @ w)
-    raise ValueError(f"unknown boundary condition kind {kind!r}")
+    # v . n_out at the dof nodes is sign * Lagrange basis on the 2 Gauss nodes
+    x0, x1 = BDM_NODES
+    ell = np.column_stack([(params - x1) / (x0 - x1), (params - x0) / (x1 - x0)])
+    normal = (sign * L)[:, None] * ((w * np.einsum("eqc,ec->eq", gv, n_out)) @ ell)
+    return np.column_stack([normal, L * (np.einsum("eqc,ec->eq", gv, t_E) @ w)])

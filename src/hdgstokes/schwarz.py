@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .fem_space import NVTF, TVNF, build_dof_map, edge_dofs, vertex_field_at_dofs
+from .fem_space import FIXES, build_dof_map, edge_dofs, vertex_field_at_dofs
 from .krylov import Factorization, FactorizationError
 from .mesh import Triangulation
 from .system import assemble
@@ -210,8 +210,8 @@ def _factor_locals(sysm, dec, local_matrix, label):
     for i, dofs in enumerate(dec.dofs):
         try:
             factors.append(Factorization(local_matrix(i), order=np.argsort(rank[dofs])))
-        except FactorizationError as err:
-            raise FactorizationError(f"{label} subdomain {i}: {err}") from err
+        except (FactorizationError, ValueError) as err:  # ValueError: a free constant velocity
+            raise type(err)(f"{label} subdomain {i}: {err}") from err
     return SchwarzPreconditioner(dofs=dec.dofs, weights=dec.weights, factors=factors)
 
 
@@ -254,8 +254,9 @@ def mras_local_matrix(sysm, dec, i, ic):
 def build_mras(sysm, dec, ic):
     """Modified RAS: the local matrices re-discretise the problem on each
     subdomain with TVNF or NVTF conditions on the interface (the subdomain
-    boundary away from Gamma); see mras_local_matrix."""
-    if ic not in (TVNF, NVTF):
+    boundary away from Gamma); see mras_local_matrix. A subdomain whose
+    kinds leave a constant velocity free raises ValueError naming it."""
+    if ic not in FIXES:
         raise ValueError(f"unknown interface condition {ic!r}")
     # through the module global, so a replaced mras_local_matrix is the one called
     return _factor_locals(sysm, dec, lambda i: mras_local_matrix(sysm, dec, i, ic),

@@ -3,13 +3,14 @@
 The assembled matrix is [[A_a, B^T], [B, 0]] with B the (negative)
 divergence coupling, so the full matrix is symmetric for eps = -1.
 The boundary conditions are those of the DofMap, one kind per boundary
-edge (fem_space), and the boundary datum is the traction sigma(u, p) n,
-whose normal (TVNF) or tangential (NVTF) component each edge loads.
+edge (fem_space), and the boundary datum is the traction sigma(u, p) n;
+each boundary edge loads the dofs that its kind does not fix (the normal
+traction its BDM dofs, the tangential traction its multiplier).
 Essential conditions are applied by symmetric row/column elimination to
 identity; prescribed nonzero values are lifted into the right hand side.
-When every boundary edge is NVTF one bordered row/column enforces the
-zero-mean pressure constraint (entries: triangle areas). The MRAS local
-problems are this same assembly on a subdomain mesh
+When no boundary edge leaves a normal dof free one bordered row/column
+enforces the zero-mean pressure constraint (entries: triangle areas). The
+MRAS local problems are this same assembly on a subdomain mesh
 (schwarz.mras_local_matrix).
 
 AssembledSystem is all the later stages take; its order (the mesh's nested
@@ -22,7 +23,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .fem_space import DofMap, dissection_order, element_dofs, trace_dofs
+from .fem_space import DofMap, dissection_order, edge_dofs, element_dofs
 from .krylov import Factorization
 from .local_assembly import ElementStack, edge_load, local_a, local_b, local_load
 from .mesh import Triangulation
@@ -67,8 +68,8 @@ def assemble(T, dm, nu=1.0, tau=6.0, eps=-1, f=None, g=None, constrained_values=
     """Assemble the hdG Stokes system on T under the boundary conditions of dm.
 
     f is the body force f(x, y) and g the boundary traction g(x, y, n); each
-    boundary edge loads the component of g that its kind in dm picks
-    (local_assembly.edge_load), per kind group (TVNF, then NVTF).
+    boundary edge adds its loads of g (local_assembly.edge_load) to the dofs
+    that its kind in dm does not fix (dm.fixed).
     constrained_values (aligned with dm.constrained) prescribes nonzero
     essential values, which are lifted into the right hand side. The
     constrained dofs are eliminated to identity: triplets in their rows and
@@ -80,9 +81,8 @@ def assemble(T, dm, nu=1.0, tau=6.0, eps=-1, f=None, g=None, constrained_values=
     rows, cols, vals = element_triplets(T, dm, nu, tau, eps, rhs=rhs, f=f)
 
     if g is not None:
-        for kind, edges in dm.boundary_groups():
-            if len(edges):
-                rhs[trace_dofs(dm.n_edges, edges, kind)[1]] += edge_load(T, edges, g, kind)
+        loaded = ~dm.fixed
+        rhs[edge_dofs(dm.n_edges, dm.boundary_edges)[loaded]] += edge_load(T, g)[loaded]
 
     fixed = dm.constrained
     x_fixed = np.zeros(n)

@@ -67,6 +67,29 @@ def test_numerical_failure_exit_code(monkeypatch, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("case,kind,parts", [("bubble", "mras-tvnf", "1x4"),
+                                              ("curl_trig", "mras-nvtf", "4x1")])
+def test_mras_kernel_strip_is_numerical_failure(capsys, case, kind, parts):
+    # a middle strip touches Gamma on two ends only, where the global kind fixes
+    # the same component of a constant velocity as the interface kind
+    assert main(["precond", "--case", case, "--n", "16", "--parts", f"uniform:{parts}",
+                 "--precond", kind]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"numerical failure: MRAS-{kind[5:]} subdomain 1: ")
+    assert "constant velocity" in line
+
+
+@pytest.mark.parametrize("case,kind,iters", [("bubble", "mras-nvtf", (31, 31)),
+                                             ("bubble", "ras", (31, 31)),
+                                             ("curl_trig", "mras-tvnf", (27, 26))])
+def test_sound_strip_iterations(tmp_path, case, kind, iters):
+    for parts, want in zip(("1x4", "4x1"), iters):
+        out = tmp_path / "p.csv"
+        assert main(["precond", "--case", case, "--n", "16", "--parts", f"uniform:{parts}",
+                     "--precond", kind, "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[2] == f"4,{kind},{want},1"
+
+
 @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
 def test_nan_reference_residual_is_numerical_failure(capsys):
     rc = main(["converge", "--case", "curl_trig", "--nu", "1e-300", "--n0", "2",

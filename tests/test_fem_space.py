@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hdgstokes import NVTF, TVNF, build_dof_map, generate, refine_uniform, system
-from hdgstokes.fem_space import dissection_order, edge_dofs, trace_dofs, vertex_field_at_dofs
+from hdgstokes.fem_space import FIXES, dissection_order, edge_dofs, vertex_field_at_dofs
 
 
 def test_counts_unit_square_1():
@@ -64,7 +64,7 @@ def test_mixed_kinds_constrain_each_edge_by_its_own_kind():
         dm = build_dof_map(T, kinds)
         want = set()
         for e, kind in zip(bnd, kinds):
-            want |= set(np.atleast_1d(trace_dofs(dm.n_edges, e, kind)[0]).tolist())
+            want |= set(edge_dofs(dm.n_edges, e)[list(FIXES[kind])].tolist())
         assert set(dm.constrained.tolist()) == want
         assert len(dm.constrained) == len(want)
         floats = bool(np.all(kinds == NVTF))
@@ -99,17 +99,23 @@ def test_dof_locations():
 
 @pytest.mark.parametrize("kind", [TVNF, NVTF])
 def test_trace_dofs_split_each_edge(kind):
-    # fixed and loaded traces are disjoint and together are the edge's 3 dofs
+    # a kind fixes a non-empty proper subset of its edge's 3 dofs; fixed and
+    # loaded dofs are disjoint and together are the edge's 3 dofs
     T = generate("unit_square", 3)
     E = T.n_edges
-    fixed, loaded = trace_dofs(E, np.arange(E), kind)
-    for e in range(E):
-        f, l = set(np.atleast_1d(fixed[e])), set(np.atleast_1d(loaded[e]))
-        assert not f & l
-        assert f | l == {2 * e, 2 * e + 1, 2 * E + e} == set(edge_dofs(E, e))
-    assert len(np.atleast_1d(fixed[0])) == (1 if kind == TVNF else 2)
-    with pytest.raises(ValueError):
-        trace_dofs(E, 0, "dirichlet")
+    fixes = np.array(FIXES[kind])
+    assert 0 < fixes.sum() < 3
+    assert fixes.sum() == (1 if kind == TVNF else 2)
+    dm = build_dof_map(T, kind)
+    assert dm.fixed.shape == (len(dm.boundary_edges), 3)
+    assert (dm.fixed == fixes).all()
+    for e, mask in zip(dm.boundary_edges, dm.fixed):
+        dofs = edge_dofs(E, e)
+        f, l = set(dofs[mask]), set(dofs[~mask])
+        assert f and l and not f & l
+        assert f | l == {2 * e, 2 * e + 1, 2 * E + e} == set(dofs)
+    with pytest.raises(ValueError, match="dirichlet"):
+        build_dof_map(T, "dirichlet")
 
 
 def test_constrained_are_fixed_boundary_traces():
@@ -117,8 +123,22 @@ def test_constrained_are_fixed_boundary_traces():
         T = generate(domain, n)
         bnd = np.flatnonzero(T.boundary_edge)
         for bc in (TVNF, NVTF):
-            fixed, _ = trace_dofs(T.n_edges, bnd, bc)
+            fixed = edge_dofs(T.n_edges, bnd)[:, list(FIXES[bc])]
             assert np.array_equal(build_dof_map(T, bc).constrained, np.sort(fixed.ravel()))
+
+
+def test_constant_velocity_kernel_rejected():
+    # TVNF on x = 0, 1 fixes u . t = u_y and NVTF on y = 0, 1 fixes u . n = u_y,
+    # so u = (1, 0) has zero energy; with the kinds swapped both fix u_x; NVTF
+    # on x = 0 in place of TVNF fixes u_x there and leaves no constant free
+    T = generate("unit_square", 4)
+    mid = T.vertices[T.edges[T.boundary_edge]].mean(axis=1)
+    vertical = np.isclose(mid[:, 0], 0) | np.isclose(mid[:, 0], 1)
+    with pytest.raises(ValueError, match=r"constant velocity \(1, 0\) free"):
+        build_dof_map(T, np.where(vertical, TVNF, NVTF))
+    with pytest.raises(ValueError, match=r"constant velocity \(0, 1\) free"):
+        build_dof_map(T, np.where(vertical, NVTF, TVNF))
+    build_dof_map(T, np.where(np.isclose(mid[:, 0], 1), TVNF, NVTF))
 
 
 ORDER_MESHES = [("unit_square", 1), ("unit_square", 2), ("unit_square", 3),

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from hdgstokes import NVTF, TVNF, generate, refine_uniform
-from hdgstokes.local_assembly import ElementStack, edge_load, local_a, local_b, local_load
+from hdgstokes import generate, refine_uniform
+from hdgstokes.local_assembly import (ElementStack, GeometryError, edge_load, local_a, local_b,
+                                      local_load)
 from hdgstokes.mesh import MeshError, Triangulation
 from hdgstokes.quadrature import BDM_NODES, TRI_RULE, edge_gauss
 
@@ -121,6 +122,14 @@ def test_divergence_constant_and_integral():
 def test_degenerate_triangle_raises():
     with pytest.raises(MeshError, match="non-positive area"):
         ElementStack(Triangulation([(0, 0), (1, 0), (2, 0.0)], [[0, 1, 2]]))
+
+
+def test_singular_dof_functionals_raise():
+    # positive area (5e-201), but the edge normals of the sliver coincide
+    T = Triangulation([(0, 0), (1, 0), (0.5, 1e-200)], [[0, 1, 2]])
+    assert T.areas[0] > 0
+    with pytest.raises(GeometryError, match=r"degenerate triangles \[0\]"):
+        ElementStack(T)
 
 
 # --- local bilinear forms -------------------------------------------------
@@ -286,16 +295,17 @@ def tvnf_unit_load(T, bnd):
 def test_edge_load_tvnf_unit_datum():
     T = generate("unit_square", 1)
     bnd = np.flatnonzero(T.boundary_edge)
-    vals = edge_load(T, bnd, lambda x, y, n: n, TVNF)
-    assert np.abs(vals - tvnf_unit_load(T, bnd)).max() < 1e-14
+    vals = edge_load(T, lambda x, y, n: n)
+    assert vals.shape == (len(bnd), 3)
+    assert np.abs(vals[:, :2] - tvnf_unit_load(T, bnd)).max() < 1e-14
 
 
 def test_edge_load_nvtf_unit_datum():
     T = generate("unit_square", 1)
     c = np.array([0.3, -1.7])
     bnd = np.flatnonzero(T.boundary_edge)
-    vals = edge_load(T, bnd, lambda x, y, n: np.broadcast_to(c, n.shape), NVTF)
-    assert np.abs(vals - T.edge_len[bnd] * (T.edge_t[bnd] @ c)).max() < 1e-14
+    vals = edge_load(T, lambda x, y, n: np.broadcast_to(c, n.shape))
+    assert np.abs(vals[:, 2] - T.edge_len[bnd] * (T.edge_t[bnd] @ c)).max() < 1e-14
 
 
 def test_edge_load_projects_traction_off_the_axes():
@@ -305,18 +315,11 @@ def test_edge_load_projects_traction_off_the_axes():
     T = Triangulation(T.vertices @ np.array([[np.cos(a), np.sin(a)],
                                              [-np.sin(a), np.cos(a)]]), T.triangles)
     bnd = np.flatnonzero(T.boundary_edge)
-    vals = edge_load(T, bnd, lambda x, y, n: 2.5 * n, TVNF)
-    assert np.abs(vals - 2.5 * tvnf_unit_load(T, bnd)).max() < 1e-14
+    vals = edge_load(T, lambda x, y, n: 2.5 * n)
+    assert np.abs(vals[:, :2] - 2.5 * tvnf_unit_load(T, bnd)).max() < 1e-14
     c = np.array([0.3, -1.7])
-    vals = edge_load(T, bnd, lambda x, y, n: np.broadcast_to(c, n.shape), NVTF)
-    assert np.abs(vals - T.edge_len[bnd] * (T.edge_t[bnd] @ c)).max() < 1e-14
-
-
-def test_edge_load_interior_edge_rejected():
-    T = generate("unit_square", 1)
-    e = int(np.flatnonzero(~T.boundary_edge)[0])
-    with pytest.raises(ValueError):
-        edge_load(T, e, lambda x, y, n: 1.0, TVNF)
+    vals = edge_load(T, lambda x, y, n: np.broadcast_to(c, n.shape))
+    assert np.abs(vals[:, 2] - T.edge_len[bnd] * (T.edge_t[bnd] @ c)).max() < 1e-14
 
 
 # --- discrete trace inequality --------------------------------------------

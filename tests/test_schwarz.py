@@ -4,7 +4,7 @@ import scipy.sparse.linalg as spla
 
 from hdgstokes import NVTF, TVNF, Triangulation, build_dof_map, generate
 from hdgstokes import krylov, schwarz, system, verify
-from hdgstokes.fem_space import edge_dofs, trace_dofs
+from hdgstokes.fem_space import FIXES, edge_dofs
 
 
 def assembled(case, n, eps=-1):
@@ -310,7 +310,7 @@ def test_mras_local_matrix_differs_only_on_interface_rows():
                     touched.add(r if r in marked else c)
             assert touched  # the surgery really changed the interface rows
             # the interface traces that ic fixes have identity rows and columns
-            fixed = np.searchsorted(dofs, trace_dofs(dm.n_edges, iface, ic)[0].ravel())
+            fixed = np.searchsorted(dofs, edge_dofs(dm.n_edges, iface)[:, list(FIXES[ic])].ravel())
             Bd, eye = B.toarray(), np.eye(len(dofs))
             assert np.array_equal(Bd[fixed], eye[fixed])
             assert np.array_equal(Bd[:, fixed], eye[:, fixed])
