@@ -28,6 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .mesh import partition_bisect
 from .quadrature import BDM_NODES
 
 TVNF = "tvnf"
@@ -117,45 +118,28 @@ def build_dof_map(T, bc):
 
 def dissection_order(T, dm):
     """Fill-reducing symmetric order of all dofs by nested dissection of T
-    (George, SIAM J. Numer. Anal. 10, 1973).
-
-    The triangles are bisected recursively at the median barycenter along
-    the longer extent of each part, every part of a level at once, down to
-    single triangles. A pressure dof belongs to its triangle's leaf; the
-    dofs of an edge belong to the deepest part that holds both of its
-    triangles, so a part's separator is the set of edges shared by its two
-    halves (a boundary edge belongs to its triangle's leaf). Returns the
-    dofs in post-order, both halves before their separator, with the NVTF
-    border row last: order[k] is the dof eliminated k-th.
+    (George, SIAM J. Numer. Anal. 10, 1973). Its parts are those of
+    mesh.partition_bisect with one triangle each: a triangle's id is its
+    position, and a part [lo, hi) has halves split at (lo + hi) // 2. A
+    pressure dof belongs to its triangle's leaf, the dofs of an edge to the
+    deepest part that holds both of its triangles (a boundary edge passes
+    its triangle twice), so a part's separator is the set of edges shared by
+    its halves. Returns the dofs in post-order, both halves before their
+    separator, with the NVTF border row last: order[k] is the dof
+    eliminated k-th.
     """
-    c = T.barycenters()
     nt = T.n_triangles
-    pos = np.arange(nt)
-    perm, at = pos.copy(), pos.copy()                       # triangle <-> position
-    lo, hi = np.zeros(nt, dtype=np.int64), np.full(nt, nt)  # part [lo, hi) of a position
-    t0, t1 = T.edge_tris.T
+    at = partition_bisect(T, nt)                            # triangle -> position
+    tris = np.where(T.edge_tris < 0, T.edge_tris[:, :1], T.edge_tris)
+    a, b = np.sort(at[tris], axis=1).T                      # positions, a <= b
     e_lo, e_hi = np.zeros(T.n_edges, dtype=np.int64), np.full(T.n_edges, nt)
-    joined = np.flatnonzero(t1 >= 0)                        # edges inside one part
-    while np.any(hi - lo > 1):
-        first = lo == pos
-        xy = c[perm]
-        extent = np.maximum.reduceat(xy, pos[first]) - np.minimum.reduceat(xy, pos[first])
-        axis = (extent[:, 1] > extent[:, 0]).astype(np.int64)[np.cumsum(first) - 1]
-        perm = perm[np.lexsort((xy[pos, axis], lo))]
-        at[perm] = pos
-        mid = (lo + hi) // 2
-        lo, hi = np.where(pos < mid, lo, mid), np.where(pos < mid, mid, hi)
-        a, b = at[t0[joined]], at[t1[joined]]
-        keep = lo[a] == lo[b]
-        joined, a = joined[keep], a[keep]
-        e_lo[joined], e_hi[joined] = lo[a], hi[a]
-    bnd = T.boundary_edge
-    e_lo[bnd] = at[t0[bnd]]
-    e_hi[bnd] = e_lo[bnd] + 1
+    for _ in range((nt - 1).bit_length()):  # descend while a and b lie in one half
+        mid = (e_lo + e_hi) // 2
+        e_lo, e_hi = np.where(a >= mid, mid, e_lo), np.where(b < mid, mid, e_hi)
     # post-order of the parts [lo, hi): by right end, deeper (smaller) first
     dofs = np.concatenate([edge_dofs(dm.n_edges, np.arange(dm.n_edges)).ravel(),
-                           dm.pres_dof(perm)])
-    end = np.concatenate([np.repeat(e_hi, 3), pos + 1])
+                           dm.pres_dof(np.arange(nt))])
+    end = np.concatenate([np.repeat(e_hi, 3), at + 1])
     size = np.concatenate([np.repeat(e_hi - e_lo, 3), np.ones(nt, dtype=np.int64)])
     order = dofs[np.lexsort((size, end))]
     if dm.mean_constraint_dof is not None:

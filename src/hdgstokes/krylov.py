@@ -38,22 +38,20 @@ def velocity_first(A, order=None):
     (Tuma, SIAM J. Matrix Anal. Appl. 23, 2002; de Niet and Wubs, IMA J.
     Numer. Anal. 29, 2009).
 
-    order is a base order (order[k] the k-th row, default natural); entries
-    past A's size are dropped and rows it misses rank last, by index. Let
-    pi be the base rank. Rows with a nonzero diagonal (velocities,
-    multipliers, fixed dofs) keep their base order. Each column j of them
-    selects its coupled zero-diagonal row of smallest pi, and each such row
-    p (a pressure) goes right after the first column, by pi, that selects
-    it. A column couples its two element pressures with opposite signs, so
-    the coupling block restricted to these pairs is triangular in pi-order
-    with a nonzero diagonal, and every leading block of the permuted matrix
-    is nonsingular. Zero-diagonal rows coupled to no nonzero-diagonal column
-    (the mean-pressure border) go next, and the pressures no column selects
-    (one per floating component) go last.
+    order is a base order (order[k] the k-th row, default natural); rows it
+    misses rank last, by index. Let pi be the base rank. Rows with a nonzero
+    diagonal (velocities, multipliers, fixed dofs) keep their base order.
+    Each column j of them selects its coupled zero-diagonal row of smallest
+    pi, and each such row p (a pressure) goes right after the first column,
+    by pi, that selects it. A column couples its two element pressures with
+    opposite signs, so the coupling block restricted to these pairs is
+    triangular in pi-order with a nonzero diagonal, and every leading block
+    of the permuted matrix is nonsingular. Zero-diagonal rows coupled to no
+    nonzero-diagonal column (the mean-pressure border) go next, and the
+    pressures no column selects (one per floating component) go last.
     """
     n = A.shape[0]
     base = np.arange(n) if order is None else np.asarray(order, dtype=np.int64)
-    base = base[base < n]
     rank = np.empty(n, dtype=np.int64)
     rank[np.concatenate([base, np.setdiff1d(np.arange(n), base)])] = np.arange(n)
     zero = A.diagonal() == 0

@@ -65,10 +65,14 @@ class ElementStack:
             F[:, m::2, 3:6] = self.n_E[..., 1:2] * mono
         try:
             self.coeffs = np.linalg.inv(F)
+            # infinity-norm condition numbers; from 1/eps on, the inverse is noise
+            cond = np.abs(F).sum(axis=2).max(axis=1) * np.abs(self.coeffs).sum(axis=2).max(axis=1)
+            bad = np.flatnonzero(cond >= 1 / np.finfo(float).eps)
         except np.linalg.LinAlgError:
             bad = np.flatnonzero(np.linalg.matrix_rank(F) < 6)
+        if len(bad):
             raise GeometryError(f"degenerate triangles {bad.tolist()}: "
-                                f"singular dof functional matrix") from None
+                                f"singular dof functional matrix")
 
         s = self.h_K[:, None]
         self.grads = np.stack([np.stack([self.coeffs[:, 1], self.coeffs[:, 2]], axis=-1),

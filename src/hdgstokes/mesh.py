@@ -1,4 +1,6 @@
-"""Conforming triangulations of the unit square and a T-shaped domain.
+"""Conforming triangulations of the unit square and a T-shaped domain, and
+partition_bisect, the one recursive coordinate bisection of the code (the
+bisect:N Schwarz partitions and the nested-dissection order use it).
 
 Edges are stored once, as (lower, higher) vertex pairs, with their frame:
 length, unit lower->higher tangent and the global unit normal, which is
@@ -54,8 +56,8 @@ class Triangulation:
         t = self.triangles
         nt = t.shape[0]
         # local edge k runs from vertex k to vertex k+1 (mod 3)
-        a = np.column_stack([t[:, 0], t[:, 1], t[:, 2]]).reshape(-1)
-        b = np.column_stack([t[:, 1], t[:, 2], t[:, 0]]).reshape(-1)
+        a = t.ravel()
+        b = np.roll(t, -1, axis=1).ravel()
         # one key per (lo, hi) pair; sorted keys keep the edges lexicographic
         nv = len(self.vertices)
         keys, inverse = np.unique(np.minimum(a, b) * nv + np.maximum(a, b),
@@ -85,13 +87,9 @@ class Triangulation:
         self.edge_t = d / self.edge_len[:, None]
         self.edge_n = np.column_stack([-self.edge_t[:, 1], self.edge_t[:, 0]])
 
-        p0, p1, p2 = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
-        d1, d2 = p1 - p0, p2 - p0
+        d1, d2 = v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]]
         self.areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-        l01 = np.linalg.norm(p1 - p0, axis=1)
-        l12 = np.linalg.norm(p2 - p1, axis=1)
-        l20 = np.linalg.norm(p0 - p2, axis=1)
-        self.h_K = np.max(np.column_stack([l01, l12, l20]), axis=1)
+        self.h_K = self.edge_len[self.tri_edges].max(axis=1)
 
     @property
     def n_vertices(self):
@@ -107,6 +105,39 @@ class Triangulation:
 
     def barycenters(self):
         return self.vertices[self.triangles].mean(axis=1)
+
+
+def partition_bisect(T, n_parts):
+    """Recursive coordinate bisection of the barycenters into n_parts parts
+    (Berger & Bokhari, IEEE Trans. Comput. C-36, 1987), for 1 <= n_parts <=
+    T.n_triangles: one part id per triangle. Every part of a level is split
+    at once. A part [lo, hi) of positions that must still make k parts is
+    sorted stably along its longer extent (x on a tie) and cut at lo +
+    round((hi - lo) * (k // 2) / k), half to even, with k // 2 parts below;
+    no part is left empty. With n_parts = T.n_triangles every cut is at
+    (lo + hi) // 2 and a triangle's id is its final position, which
+    dissection_order relies on.
+    """
+    c = T.barycenters()
+    nt = T.n_triangles
+    pos = np.arange(nt)
+    perm = pos.copy()                                       # position -> triangle
+    lo, hi = np.zeros(nt, dtype=np.int64), np.full(nt, nt)  # part [lo, hi) of a position
+    k, first = np.full(nt, n_parts), np.zeros(nt, dtype=np.int64)  # parts to make, first id
+    while np.any(k > 1):
+        start = lo == pos
+        xy = c[perm]
+        extent = np.maximum.reduceat(xy, pos[start]) - np.minimum.reduceat(xy, pos[start])
+        axis = (extent[:, 1] > extent[:, 0]).astype(np.int64)[np.cumsum(start) - 1]
+        perm = perm[np.lexsort((xy[pos, axis], lo))]
+        half = k // 2
+        cut = lo + np.round((hi - lo) * half / k).astype(np.int64)
+        below = pos < cut
+        lo, hi = np.where(below, lo, cut), np.where(below, cut, hi)
+        k, first = np.where(below, half, k - half), np.where(below, first, first + half)
+    parts = np.empty(nt, dtype=np.int64)
+    parts[perm] = first
+    return parts
 
 
 def _grid_cells(x0, y0, nx, ny, n):

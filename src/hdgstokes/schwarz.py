@@ -1,5 +1,7 @@
 """Overlapping decompositions, partition of unity, RAS and MRAS preconditioners.
 
+Partitions are uniform cell grids, mesh.partition_bisect (the recursive
+coordinate bisection that also orders the reference factor) or a file.
 build_ras(sysm, dec) and build_mras(sysm, dec, ic) differ only in the local
 matrix; both order its factor by krylov.velocity_first from sysm.order
 restricted to the subdomain.
@@ -33,7 +35,7 @@ import scipy.sparse as sp
 
 from .fem_space import FIXES, build_dof_map, edge_dofs, vertex_field_at_dofs
 from .krylov import Factorization, FactorizationError
-from .mesh import Triangulation
+from .mesh import Triangulation, partition_bisect
 from .system import assemble
 
 
@@ -102,29 +104,6 @@ def partition_uniform(T, px, py):
     ix = np.minimum((b[:, 0] * px).astype(int), px - 1)
     iy = np.minimum((b[:, 1] * py).astype(int), py - 1)
     return iy * px + ix
-
-
-def partition_bisect(T, n_parts):
-    """Recursive coordinate bisection of the barycenters into n_parts parts,
-    for 1 <= n_parts <= T.n_triangles (as decompose checks). Each split keeps
-    at least as many triangles as parts on either side, so no part is empty."""
-    b = T.barycenters()
-    parts = np.zeros(T.n_triangles, dtype=np.int64)
-
-    def split(idx, n, offset):
-        if n == 1:
-            parts[idx] = offset
-            return
-        n1 = n // 2
-        ext = b[idx].max(axis=0) - b[idx].min(axis=0)
-        axis = int(np.argmax(ext))
-        order = idx[np.argsort(b[idx, axis], kind="stable")]
-        cut = int(round(len(idx) * n1 / n))
-        split(order[:cut], n1, offset)
-        split(order[cut:], n - n1, offset + n1)
-
-    split(np.arange(T.n_triangles), n_parts, 0)
-    return parts
 
 
 def partition_from_file(T, path):

@@ -132,6 +132,21 @@ def test_singular_dof_functionals_raise():
         ElementStack(T)
 
 
+@pytest.mark.parametrize("height", [1e-8, 1e-17])
+def test_ill_conditioned_dof_functionals_raise(height):
+    # F invertible in floating point, but with an infinity-norm condition
+    # number past 1/eps (3.6e16 at height 1e-8): its inverse is noise
+    T = Triangulation([(0, 0), (1, 0), (0.5, height)], [[0, 1, 2]])
+    with pytest.raises(GeometryError, match=r"degenerate triangles \[0\]"):
+        ElementStack(T)
+
+
+def test_thin_triangle_builds():
+    # condition number 3.6e12: thin, but still resolved in double precision
+    E = ElementStack(Triangulation([(0, 0), (1, 0), (0.5, 1e-6)], [[0, 1, 2]]))
+    assert np.isfinite(E.coeffs).all()
+
+
 # --- local bilinear forms -------------------------------------------------
 
 def test_local_a_symmetric_for_eps_minus_one():

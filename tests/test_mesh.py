@@ -149,3 +149,38 @@ def test_read_mesh_non_finite_vertex(x):
     # fails the area test, so the coordinates themselves are checked
     with pytest.raises(mesh.MeshError, match="finite"):
         mesh.Triangulation([(0, 0), (x, 0), (0, 1)], [[0, 1, 2]])
+
+
+# --- recursive coordinate bisection ----------------------------------------
+
+def recursive_bisect(T, n_parts):
+    """Reference: one split per call, on the barycenters of the part."""
+    b = T.barycenters()
+    parts = np.zeros(T.n_triangles, dtype=np.int64)
+
+    def split(idx, n, offset):
+        if n == 1:
+            parts[idx] = offset
+            return
+        n1 = n // 2
+        ext = b[idx].max(axis=0) - b[idx].min(axis=0)
+        axis = int(np.argmax(ext))
+        order = idx[np.argsort(b[idx, axis], kind="stable")]
+        cut = int(round(len(idx) * n1 / n))
+        split(order[:cut], n1, offset)
+        split(order[cut:], n - n1, offset + n1)
+
+    split(np.arange(T.n_triangles), n_parts, 0)
+    return parts
+
+
+@pytest.mark.parametrize("refine", [False, True])
+@pytest.mark.parametrize("domain,n", [("unit_square", n) for n in (1, 2, 3, 5, 8)]
+                         + [("t_shape", 2), ("t_shape", 4)])
+def test_partition_bisect_matches_recursion(domain, n, refine):
+    T = mesh.generate(domain, n)
+    if refine:
+        T = mesh.refine_uniform(T)
+    nt = T.n_triangles
+    for k in sorted(set(range(1, min(nt, 40) + 1)) | {nt}):
+        assert np.array_equal(mesh.partition_bisect(T, k), recursive_bisect(T, k)), k
