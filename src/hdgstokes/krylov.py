@@ -39,7 +39,8 @@ def velocity_first(A, order=None):
     Numer. Anal. 29, 2009).
 
     order is a base order (order[k] the k-th row, default natural); rows it
-    misses rank last, by index. Let pi be the base rank. Rows with a nonzero
+    misses rank last, by index, and a repeated row or one outside range(n)
+    raises ValueError. Let pi be the base rank. Rows with a nonzero
     diagonal (velocities, multipliers, fixed dofs) keep their base order.
     Each column j of them selects its coupled zero-diagonal row of smallest
     pi, and each such row p (a pressure) goes right after the first column,
@@ -52,8 +53,14 @@ def velocity_first(A, order=None):
     """
     n = A.shape[0]
     base = np.arange(n) if order is None else np.asarray(order, dtype=np.int64)
-    rank = np.empty(n, dtype=np.int64)
-    rank[np.concatenate([base, np.setdiff1d(np.arange(n), base)])] = np.arange(n)
+    if len(base) and not 0 <= base.min() <= base.max() < n:
+        raise ValueError(f"base order has rows outside range({n})")
+    rank = np.full(n, -1, dtype=np.int64)
+    rank[base] = np.arange(len(base))
+    missed = rank < 0
+    if np.count_nonzero(missed) != n - len(base):
+        raise ValueError("base order repeats a row")
+    rank[missed] = np.arange(len(base), n)
     zero = A.diagonal() == 0
     C = sp.coo_matrix(A)
     keep = zero[C.row] & ~zero[C.col] & (C.data != 0)

@@ -114,23 +114,25 @@ class ElementStack:
         return np.einsum("tj,tj->t", self.divs, vd)
 
 
-def local_a(ker, nu, tau, eps):
-    """Stacked 9x9 element matrices of the velocity bilinear form; (ne, 9, 9)."""
+def local_a(ker, nu, tau, eps, out=None):
+    """Stacked 9x9 element matrices of the velocity bilinear form; (ne, 9, 9).
+    With out given (any (ne, 9, 9) float view, such as the value block of
+    system.element_triplets) they are written into it and out is returned."""
     if tau <= 0:
         raise ValueError("stabilisation parameter tau must be positive")
     if eps not in (-1, 1):
         raise ValueError("symmetry switch eps must be -1 or +1")
     ne = len(ker)
-    A = np.zeros((ne, 9, 9))
+    A = np.empty((ne, 9, 9)) if out is None else out
+    A[...] = 0.0
     # volume term: gradients are constant on K
     G = ker.grads.reshape(ne, 6, 4)
     A[:, :6, :6] = nu * ker.area[:, None, None] * (G @ G.transpose(0, 2, 1))
 
     # per local edge (rows l): the edge average of (v)_t - vtilde, which is
     # its midpoint value as the basis is linear, and the constant (grad v . n)_t
-    mid = ker.eval_basis(ker.edge_lo + 0.5 * ker.d)          # (ne, 3, 6, 2)
     avg = np.zeros((ne, 3, 9))
-    avg[:, :, :6] = np.einsum("tljc,tlc->tlj", mid, ker.t_E)
+    avg[:, :, :6] = np.einsum("tljc,tlc->tlj", ker.eval_basis(ker.edge_lo + 0.5 * ker.d), ker.t_E)
     avg[:, np.arange(3), 6 + np.arange(3)] = -1.0
     dnt = np.zeros((ne, 3, 9))
     dnt[:, :, :6] = np.einsum("tjab,tlb,tla->tlj", ker.grads, ker.n_out, ker.t_E)

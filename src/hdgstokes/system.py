@@ -7,7 +7,8 @@ edge (fem_space), and the boundary datum is the traction sigma(u, p) n;
 each boundary edge loads the dofs that its kind does not fix (the normal
 traction its BDM dofs, the tangential traction its multiplier).
 Essential conditions are applied by symmetric row/column elimination to
-identity; prescribed nonzero values are lifted into the right hand side.
+identity, in place on the assembled CSR matrix; prescribed nonzero values
+are lifted into the right hand side.
 When no boundary edge leaves a normal dof free one bordered row/column
 enforces the zero-mean pressure constraint (entries: triangle areas). The
 MRAS local problems are this same assembly on a subdomain mesh
@@ -46,22 +47,39 @@ class AssembledSystem:
 
 
 def element_triplets(T, dm, nu, tau, eps, rhs=None, f=None):
-    """COO triplets (global indices) of the a- and b-form blocks of every
-    triangle of T, in triangle order, each triangle's 9x9 a-block followed
-    by its pressure row and column; with f given, body loads are added to rhs.
+    """COO triplets (global indices) of the system before its constraints,
+    as three flat arrays, each allocated once. Their first 99 nt entries are
+    an (nt, 99) block whose row t holds triangle t's 9x9 a-block (row-major,
+    written in place by local_a), its pressure row and its pressure column;
+    the symmetric border row and column of the mean-pressure constraint
+    (weights: triangle areas) follow when dm has one. Indices are int32
+    unless dm.n_total does not fit. With f given, the body loads are added
+    to rhs before the blocks are allocated.
     """
     ker = ElementStack(T)
     gdofs, p = element_dofs(dm, T.tri_edges)
-    ne = len(ker)
-    A_loc = local_a(ker, nu, tau, eps)
-    b_loc = local_b(ker)
-    p9 = np.repeat(p[:, None], 9, axis=1)
-    rows = np.concatenate([np.repeat(gdofs, 9, axis=1), p9, gdofs], axis=1)
-    cols = np.concatenate([np.tile(gdofs, 9), gdofs, p9], axis=1)
-    vals = np.concatenate([A_loc.reshape(ne, 81), b_loc, b_loc], axis=1)
     if f is not None:
         np.add.at(rhs, gdofs[:, :6], local_load(ker, f))
-    return rows.ravel(), cols.ravel(), vals.ravel()
+    nt, r = len(ker), dm.mean_constraint_dof
+    m = 99 * nt
+    size = m + (2 * nt if r is not None else 0)
+    vals = np.empty(size)
+    V = vals[:m].reshape(nt, 99)
+    local_a(ker, nu, tau, eps, out=V[:, :81].reshape(nt, 9, 9))
+    V[:, 81:90] = V[:, 90:] = local_b(ker)
+    del ker  # the element stack is not held with the index blocks
+    idx = np.int32 if dm.n_total <= np.iinfo(np.int32).max else np.int64
+    rows, cols = np.empty(size, dtype=idx), np.empty(size, dtype=idx)
+    R, C = rows[:m].reshape(nt, 99), cols[:m].reshape(nt, 99)
+    R[:, :81].reshape(nt, 9, 9)[...] = gdofs[:, :, None]
+    C[:, :81].reshape(nt, 9, 9)[...] = gdofs[:, None, :]
+    R[:, 81:90], C[:, 81:90] = p[:, None], gdofs
+    R[:, 90:], C[:, 90:] = gdofs, p[:, None]
+    if r is not None:
+        rows[m:m + nt], cols[m:m + nt] = r, p
+        rows[m + nt:], cols[m + nt:] = p, r
+        vals[m:m + nt] = vals[m + nt:] = T.areas
+    return rows, cols, vals
 
 
 def assemble(T, dm, nu=1.0, tau=6.0, eps=-1, f=None, g=None, constrained_values=None):
@@ -71,10 +89,11 @@ def assemble(T, dm, nu=1.0, tau=6.0, eps=-1, f=None, g=None, constrained_values=
     boundary edge adds its loads of g (local_assembly.edge_load) to the dofs
     that its kind in dm does not fix (dm.fixed).
     constrained_values (aligned with dm.constrained) prescribes nonzero
-    essential values, which are lifted into the right hand side. The
-    constrained dofs are eliminated to identity: triplets in their rows and
-    columns are dropped and each gets a unit diagonal. Entries summing to
-    exactly zero are not stored.
+    essential values, which are lifted into the right hand side. All
+    triplets (element_triplets) go into one CSR matrix; the constrained dofs
+    are then eliminated to identity in place: their rows and columns are
+    zeroed, their stored diagonal set to 1, and every zero dropped, which
+    also drops the entries that sum to exactly zero.
     """
     n = dm.n_total
     rhs = np.zeros(n)
@@ -88,22 +107,22 @@ def assemble(T, dm, nu=1.0, tau=6.0, eps=-1, f=None, g=None, constrained_values=
     x_fixed = np.zeros(n)
     if constrained_values is not None:
         x_fixed[fixed] = constrained_values
-        rhs -= np.bincount(rows, weights=vals * x_fixed[cols], minlength=n)
+        w = x_fixed[cols]
+        w *= vals
+        rhs -= np.bincount(rows, weights=w, minlength=n)
+        del w
     rhs[fixed] = x_fixed[fixed]
 
-    free = np.ones(n, dtype=bool)
-    free[fixed] = False
-    keep = free[rows] & free[cols]
-    rows, cols = [rows[keep], fixed], [cols[keep], fixed]
-    vals = [vals[keep], np.ones(len(fixed))]
-    r = dm.mean_constraint_dof
-    if r is not None:  # the symmetric border row and column, weights: triangle areas
-        p = dm.pres_dof(np.arange(dm.n_tris))
-        rows += [np.full(dm.n_tris, r), p]
-        cols += [p, np.full(dm.n_tris, r)]
-        vals += [T.areas, T.areas]
-    A = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(n, n)).tocsr()
+    A = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    del rows, cols, vals
+    is_fixed = np.zeros(n, dtype=bool)
+    is_fixed[fixed] = True
+    A.data[is_fixed[A.indices]] = 0.0
+    # the stored entries of the constrained rows, row by row
+    start, count = A.indptr[fixed], np.diff(A.indptr)[fixed]
+    at = np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
+    A.data[at] = 0.0
+    A.data[at[A.indices[at] == np.repeat(fixed, count)]] = 1.0
     A.eliminate_zeros()
     return AssembledSystem(A=A, rhs=rhs, dofmap=dm, nu=nu, tau=tau, eps=eps, mesh=T)
 

@@ -46,61 +46,47 @@ class ExactSolution:
         return self.nu * gn - np.asarray(self.p(x, y))[..., None] * n
 
 
-def _curl_trig_factors():
-    # G(t) = (1 - cos((1-t)^2)) sin(t^2); the stream function is 100 G(x) G(y)
-    def G(t):
-        return (1 - np.cos((1 - t) ** 2)) * np.sin(t ** 2)
-
-    def dG(t):
-        z, zp = (1 - t) ** 2, -2 * (1 - t)
-        c, cp = 1 - np.cos(z), np.sin(z) * zp
-        s, sp = np.sin(t ** 2), 2 * t * np.cos(t ** 2)
-        return cp * s + c * sp
-
-    def d2G(t):
-        z, zp, zpp = (1 - t) ** 2, -2 * (1 - t), 2.0
-        c = 1 - np.cos(z)
-        cp = np.sin(z) * zp
-        cpp = np.cos(z) * zp ** 2 + np.sin(z) * zpp
-        w = t ** 2
-        s, sp = np.sin(w), 2 * t * np.cos(w)
-        spp = 2 * np.cos(w) - 4 * t ** 2 * np.sin(w)
-        return cpp * s + 2 * cp * sp + c * spp
-
-    def d3G(t):
-        z, zp, zpp = (1 - t) ** 2, -2 * (1 - t), 2.0
-        c = 1 - np.cos(z)
-        cp = np.sin(z) * zp
-        cpp = np.cos(z) * zp ** 2 + np.sin(z) * zpp
-        cppp = -np.sin(z) * zp ** 3 + 3 * np.cos(z) * zp * zpp
-        w = t ** 2
-        s, sp = np.sin(w), 2 * t * np.cos(w)
-        spp = 2 * np.cos(w) - 4 * t ** 2 * np.sin(w)
-        sppp = -12 * t * np.sin(w) - 8 * t ** 3 * np.cos(w)
-        return cppp * s + 3 * cpp * sp + 3 * cp * spp + c * sppp
-
-    return G, dG, d2G, d3G
+def _curl_trig_family(t):
+    """G(t) = (1 - cos((1-t)^2)) sin(t^2) and its first three derivatives;
+    the stream function is 100 G(x) G(y)."""
+    z, zp, zpp = (1 - t) ** 2, -2 * (1 - t), 2.0
+    w = t ** 2
+    cos_z, sin_z, cos_w, sin_w = np.cos(z), np.sin(z), np.cos(w), np.sin(w)
+    c = 1 - cos_z
+    cp = sin_z * zp
+    cpp = cos_z * zp ** 2 + sin_z * zpp
+    cppp = -sin_z * zp ** 3 + 3 * cos_z * zp * zpp
+    s, sp = sin_w, 2 * t * cos_w
+    spp = 2 * cos_w - 4 * t ** 2 * sin_w
+    sppp = -12 * t * sin_w - 8 * t ** 3 * cos_w
+    return (c * s, cp * s + c * sp, cpp * s + 2 * cp * sp + c * spp,
+            cppp * s + 3 * cpp * sp + 3 * cp * spp + c * sppp)
 
 
 def _stream_case(name, bc, nu, A, x_family, y_family, p, grad_p):
-    """Divergence-free u = curl(A X(x) Y(y)) plus a given pressure; each
-    family is a factor and its first three derivatives."""
-    X, dX, d2X, d3X = x_family
-    Y, dY, d2Y, d3Y = y_family
+    """Divergence-free u = curl(A X(x) Y(y)) plus a given pressure; a family
+    maps a coordinate array to its factor and the factor's first three
+    derivatives, so each callback evaluates it once per coordinate array."""
 
     def u(x, y):
-        return np.stack([A * X(x) * dY(y), -A * dX(x) * Y(y)], axis=-1)
+        X, dX, _, _ = x_family(x)
+        Y, dY, _, _ = y_family(y)
+        return np.stack([A * X * dY, -A * dX * Y], axis=-1)
 
     def grad_u(x, y):
-        gxx = A * dX(x) * dY(y)
-        gxy = A * X(x) * d2Y(y)
-        gyx = -A * d2X(x) * Y(y)
+        X, dX, d2X, _ = x_family(x)
+        Y, dY, d2Y, _ = y_family(y)
+        gxx = A * dX * dY
+        gxy = A * X * d2Y
+        gyx = -A * d2X * Y
         return np.stack([np.stack([gxx, gxy], axis=-1),
                          np.stack([gyx, -gxx], axis=-1)], axis=-2)
 
     def lap_u(x, y):
-        return np.stack([A * (d2X(x) * dY(y) + X(x) * d3Y(y)),
-                         -A * (d3X(x) * Y(y) + dX(x) * d2Y(y))], axis=-1)
+        X, dX, d2X, d3X = x_family(x)
+        Y, dY, d2Y, d3Y = y_family(y)
+        return np.stack([A * (d2X * dY + X * d3Y),
+                         -A * (d3X * Y + dX * d2Y)], axis=-1)
 
     return ExactSolution(name=name, bc=bc, nu=nu, u=u, grad_u=grad_u,
                          p=p, lap_u=lap_u, grad_p=grad_p)
@@ -114,8 +100,6 @@ def catalogue(name, nu=1.0):
     """Manufactured cases, each with its boundary conditions (CASE_BC)."""
     bc = CASE_BC.get(name)
     if name == "curl_trig":
-        trig = _curl_trig_factors()
-
         def p(x, y):
             return np.tan(x * y)
 
@@ -123,20 +107,13 @@ def catalogue(name, nu=1.0):
             s = 1 + np.tan(x * y) ** 2
             return np.stack([s * y, s * x], axis=-1)
 
-        return _stream_case("curl_trig", bc, nu, 100.0, trig, trig, p, grad_p)
+        return _stream_case("curl_trig", bc, nu, 100.0, _curl_trig_family, _curl_trig_family,
+                            p, grad_p)
 
     if name == "bubble":
-        def q(t):
-            return t * t * (1 - t) ** 2
-
-        def dq(t):
-            return 2 * t - 6 * t ** 2 + 4 * t ** 3
-
-        def d2q(t):
-            return 2 - 12 * t + 12 * t ** 2
-
-        def d3q(t):
-            return -12 + 24 * t
+        def bump(t):
+            return (t * t * (1 - t) ** 2, 2 * t - 6 * t ** 2 + 4 * t ** 3,
+                    2 - 12 * t + 12 * t ** 2, -12 + 24 * t)
 
         def p(x, y):
             return x - y
@@ -145,22 +122,15 @@ def catalogue(name, nu=1.0):
             one = np.ones_like(np.asarray(x, dtype=float))
             return np.stack([one, -one], axis=-1)
 
-        bump = (q, dq, d2q, d3q)
         return _stream_case("bubble", bc, nu, 1.0, bump, bump, p, grad_p)
 
     if name == "poiseuille":
         # stream function 2y^2 - 4y^3/3 (times X = 1): u = (4y(1 - y), 0)
-        def q(t):
-            return 2 * t ** 2 - 4 * t ** 3 / 3
+        def flat(t):
+            return np.ones_like(t), np.zeros_like(t), np.zeros_like(t), np.zeros_like(t)
 
-        def dq(t):
-            return 4 * t * (1 - t)
-
-        def d2q(t):
-            return 4 - 8 * t
-
-        def d3q(t):
-            return np.zeros_like(t) - 8.0
+        def profile(t):
+            return 2 * t ** 2 - 4 * t ** 3 / 3, 4 * t * (1 - t), 4 - 8 * t, np.zeros_like(t) - 8.0
 
         def p(x, y):
             return 4 - 8 * x
@@ -169,8 +139,7 @@ def catalogue(name, nu=1.0):
             z = np.zeros_like(np.asarray(x, dtype=float))
             return np.stack([z - 8, z], axis=-1)
 
-        flat = (np.ones_like, np.zeros_like, np.zeros_like, np.zeros_like)
-        return _stream_case("poiseuille", bc, nu, 1.0, flat, (q, dq, d2q, d3q), p, grad_p)
+        return _stream_case("poiseuille", bc, nu, 1.0, flat, profile, p, grad_p)
 
     raise ValueError(f"unknown exact solution {name!r}")
 

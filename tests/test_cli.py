@@ -56,14 +56,21 @@ def test_usage_error_exit_code():
     assert main(["converge", "--case", "nonsense"]) == 1
 
 
+def singular_stand_in(sysm, dec, i, ic):
+    """A local matrix of the subdomain's size, diagonal with one 1e-16 pivot."""
+    d = np.ones(len(dec.dofs[i]))
+    d[1] = 1e-16
+    return sp.diags(d, format="csr")
+
+
 def test_numerical_failure_exit_code(monkeypatch, capsys):
     # a singular local matrix is rejected when its factor is set up
-    monkeypatch.setattr(schwarz, "mras_local_matrix",
-                        lambda *args: sp.csr_matrix(np.diag([1.0, 1e-16])))
+    monkeypatch.setattr(schwarz, "mras_local_matrix", singular_stand_in)
     assert main(["precond", "--case", "bubble", "--n", "4", "--parts", "uniform:2x2",
                  "--precond", "mras-tvnf"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: MRAS-tvnf subdomain 0: ")
+    assert "singular to working precision" in err
     assert err.count("\n") == 1 and "Traceback" not in err
 
 

@@ -172,6 +172,15 @@ def test_velocity_first_two_triangle_floating_border():
     assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
+@pytest.mark.parametrize("order,msg", [([0, 1, 1], "repeats a row"),
+                                       ([0, 3], "outside range"),
+                                       ([-1, 0], "outside range")])
+def test_velocity_first_rejects_bad_base_order(order, msg):
+    with pytest.raises(ValueError, match=msg) as err:
+        velocity_first(sp.eye(3, format="csr"), order)
+    assert "\n" not in str(err.value)
+
+
 def test_local_factor_is_unshifted_and_solves_once():
     # L U reproduces the permuted matrix itself, zero diagonal included (a
     # -1e-12 max|A| shift would show), and solve() is one triangular solve
