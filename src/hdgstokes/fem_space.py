@@ -147,14 +147,12 @@ def dissection_order(T, dm):
     return order
 
 
-def vertex_field_at_dofs(T, dm, f):
+def vertex_field_at_dofs(edges, triangles, f):
     """Values of the piecewise-linear field with vertex values f (nv, ...) at
-    every geometric dof location (BDM: edge Gauss nodes, multiplier: edge
-    midpoints, pressure: barycenters). The NVTF constraint row has none."""
-    lo, hi = f[T.edges[:, 0]], f[T.edges[:, 1]]
-    out = np.empty((dm.n_geometric,) + f.shape[1:])
-    for m, s in enumerate(BDM_NODES):
-        out[m:2 * dm.n_edges:2] = (1 - s) * lo + s * hi
-    out[2 * dm.n_edges:3 * dm.n_edges] = 0.5 * (lo + hi)
-    out[3 * dm.n_edges:] = f[T.triangles].mean(axis=1)
-    return out
+    the dof locations of edges (vertex pairs) and triangles, in dof order:
+    BDM pairs at the edge Gauss nodes, multipliers at edge midpoints,
+    pressures at barycenters (T.edges, T.triangles: every geometric dof)."""
+    lo, hi = f[edges[:, 0]], f[edges[:, 1]]
+    bdm = np.stack([(1 - s) * lo + s * hi for s in BDM_NODES], axis=1)  # (ne, 2, ...)
+    return np.concatenate([bdm.reshape((-1,) + f.shape[1:]), 0.5 * (lo + hi),
+                           f[triangles].mean(axis=1)])

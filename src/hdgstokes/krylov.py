@@ -33,6 +33,20 @@ class FactorizationError(Exception):
     pass
 
 
+def _base_rank(order, n):
+    """rank[i], the position of row i in the base order (see velocity_first)."""
+    base = np.arange(n) if order is None else np.asarray(order, dtype=np.int64)
+    if len(base) and not 0 <= base.min() <= base.max() < n:
+        raise ValueError(f"base order has rows outside range({n})")
+    rank = np.full(n, -1, dtype=np.int64)
+    rank[base] = np.arange(len(base))
+    missed = rank < 0
+    if np.count_nonzero(missed) != n - len(base):
+        raise ValueError("base order repeats a row")
+    rank[missed] = np.arange(len(base), n)
+    return rank
+
+
 def velocity_first(A, order=None):
     """Symmetric elimination order of A in which no diagonal pivot is zero
     (Tuma, SIAM J. Matrix Anal. Appl. 23, 2002; de Niet and Wubs, IMA J.
@@ -52,15 +66,7 @@ def velocity_first(A, order=None):
     pressures no column selects (one per floating component) go last.
     """
     n = A.shape[0]
-    base = np.arange(n) if order is None else np.asarray(order, dtype=np.int64)
-    if len(base) and not 0 <= base.min() <= base.max() < n:
-        raise ValueError(f"base order has rows outside range({n})")
-    rank = np.full(n, -1, dtype=np.int64)
-    rank[base] = np.arange(len(base))
-    missed = rank < 0
-    if np.count_nonzero(missed) != n - len(base):
-        raise ValueError("base order repeats a row")
-    rank[missed] = np.arange(len(base), n)
+    rank = _base_rank(order, n)
     zero = A.diagonal() == 0
     C = sp.coo_matrix(A)
     keep = zero[C.row] & ~zero[C.col] & (C.data != 0)
@@ -91,13 +97,12 @@ class Factorization:
     zero diagonal of A (the pressure block and the mean-pressure border) is
     shifted by -1e-12 max|A|. That makes the saddle point quasi-definite,
     so diagonal pivots exist for any symmetric ordering, and SuperLU keeps
-    the one it is given. order (a permutation of range(n), order[k] the
-    k-th eliminated row) is that ordering, the natural order by default.
-    The reference solve passes the mesh's nested dissection, whose fill at
-    n = 32 is 0.54-0.58 of that of minimum degree on A + A^T (the SuperLU
-    ordering). The unshifted A is kept (CSR), and solve() refines against it
-    while the residual at least halves; it raises FactorizationError if the
-    residual stays above 1e-10 ||b|| or is NaN.
+    the one it is given: order, a base order as in velocity_first, natural
+    by default. The reference solve passes the mesh's nested dissection,
+    whose fill at n = 32 is 0.54-0.58 of that of minimum degree on A + A^T
+    (the SuperLU ordering). The unshifted A is kept (CSR), and solve()
+    refines against it while the residual at least halves; it raises
+    FactorizationError if the residual stays above 1e-10 ||b|| or is NaN.
 
     refine=False (the Schwarz local factors, solved many times each): A
     itself is factored, unshifted, in velocity_first(A, order), whose
@@ -123,15 +128,13 @@ class Factorization:
             self._A = A
             z = np.flatnonzero(A.diagonal() == 0)
             M = M + sp.csc_matrix((np.full(len(z), -1e-12 * scale), (z, z)), shape=A.shape)
-            order = np.arange(self.n) if order is None else order
+            rank = _base_rank(order, self.n)
         else:
-            order = velocity_first(A, order)
-        self._order = np.asarray(order, dtype=np.int64)
+            rank = _base_rank(velocity_first(A, order), self.n)
+        self._order = np.argsort(rank)
         # the symmetric permutation in one copy: move the columns, renumber the rows
         M = M[:, self._order]
-        rank = np.empty(self.n, dtype=M.indices.dtype)
-        rank[self._order] = np.arange(self.n)
-        M.indices = rank[M.indices]
+        M.indices = rank.astype(M.indices.dtype)[M.indices]
         M.has_sorted_indices = False
         M.sort_indices()
         try:

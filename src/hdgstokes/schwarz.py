@@ -7,12 +7,13 @@ matrix; both order its factor by krylov.velocity_first from sysm.order
 restricted to the subdomain.
 
 Overlap growth follows vertex adjacency: one layer adds every triangle
-sharing at least one vertex with the current set. The partition of unity
-interpolates normalised piecewise-linear subdomain indicators at the dof
-locations (BDM: the two edge Gauss nodes, multiplier: edge midpoints,
-pressure: barycenters); with at least one overlap layer the indicator of
-a subdomain vanishes at every dof it does not own, which makes
-sum_i R_i^T D_i R_i = Id exact.
+sharing at least one vertex with the current set, all parts at once. The
+partition of unity interpolates normalised piecewise-linear subdomain
+indicators at the dof locations (BDM: the two edge Gauss nodes,
+multiplier: edge midpoints, pressure: barycenters); with at least one
+overlap layer the indicator of a subdomain vanishes at every dof it does
+not own, which makes sum_i R_i^T D_i R_i = Id exact. No per-part step
+touches more of the mesh than the part's subdomain.
 
 RAS local matrices are R_i A R_i^T. For an NVTF system they keep the
 global mean-pressure border as their last dof.
@@ -121,46 +122,42 @@ def partition_from_file(T, path):
 
 def add_overlap(T, parts, l):
     """Grow each part by l rounds of vertex-adjacent triangles; returns the
-    non-overlapping and the overlapped triangle sets (elems0, elems)."""
+    non-overlapping and the overlapped triangle sets (elems0, elems), sorted
+    int64 arrays. All parts grow at once: M (n_tris x n_parts) marks them,
+    and with the vertex-triangle incidence Inc a layer is Inc^T Inc M > 0."""
     if l < 1:
         raise ValueError("overlap l must be at least 1 (partition-of-unity support)")
     nt = T.n_triangles
-    # vertex-triangle incidence: (Inc @ cur) > 0 marks the vertices of a triangle set
-    Inc = sp.csr_matrix((np.ones(3 * nt), (T.triangles.ravel(), np.repeat(np.arange(nt), 3))),
-                        shape=(T.n_vertices, nt))
-    elems0, elems = [], []
-    for i in range(int(parts.max()) + 1):
-        cur = parts == i
-        elems0.append(np.flatnonzero(cur))
-        for _ in range(l):
-            cur = Inc.T @ (Inc @ cur) > 0
-        elems.append(np.flatnonzero(cur))
-    return elems0, elems
-
-
-def subdomain_dofs(T, dm, elems):
-    """All global dofs attached to a triangle set (plus the NVTF constraint row)."""
-    edges = np.unique(T.tri_edges[elems])
-    parts = [edge_dofs(dm.n_edges, edges).ravel(), dm.pres_dof(np.asarray(elems))]
-    if dm.mean_constraint_dof is not None:
-        parts.append(np.array([dm.mean_constraint_dof]))
-    return np.sort(np.concatenate(parts))
+    own = np.argsort(parts, kind="stable")  # triangles part by part, ascending in each
+    start = np.concatenate([[0], np.cumsum(np.bincount(parts))])
+    M = sp.csc_matrix((np.ones(nt), own, start))
+    Inc = sp.csc_matrix((np.ones(3 * nt), T.triangles.ravel(), np.arange(0, 3 * nt + 1, 3)))
+    IncT = Inc.T.tocsc()
+    for _ in range(l):
+        M = IncT @ (Inc @ M) > 0
+    M.sort_indices()  # a no-op unless the products left a column unsorted
+    return np.split(own, start[1:-1]), np.split(M.indices.astype(np.int64), M.indptr[1:-1])
 
 
 def build_decomposition(T, dm, parts, l):
     """The parts grown by l overlap layers, with their dofs and their
-    partition-of-unity weights, which sum to 1 at every dof."""
+    partition-of-unity weights, which sum to 1 at every dof. A subdomain's
+    dofs and indicator come from its own edges and triangles, the dofs
+    already ascending: BDM pairs, multipliers, pressures, NVTF border."""
     elems0, elems = add_overlap(T, parts, l)
-    dofs = [subdomain_dofs(T, dm, e) for e in elems]
-    raw = []
+    border = np.arange(dm.n_geometric, dm.n_total)  # the NVTF constraint dof, if any
+    flag = np.zeros(T.n_vertices)  # vertex indicator of the current part
     denom = np.zeros(dm.n_total)
-    for e0, d in zip(elems0, dofs):
-        flag = np.zeros(T.n_vertices)
-        flag[T.triangles[e0].ravel()] = 1.0
-        vals = np.ones(dm.n_total)  # the NVTF constraint dof keeps indicator 1
-        vals[:dm.n_geometric] = vertex_field_at_dofs(T, dm, flag)
-        raw.append(vals[d])
-        np.add.at(denom, d, raw[-1])
+    dofs, raw = [], []
+    for e0, e in zip(elems0, elems):
+        edges = np.unique(T.tri_edges[e])
+        d = edge_dofs(dm.n_edges, edges)
+        dofs.append(np.concatenate([d[:, :2].ravel(), d[:, 2], dm.pres_dof(e), border]))
+        flag[T.triangles[e0]] = 1.0
+        raw.append(np.concatenate([vertex_field_at_dofs(T.edges[edges], T.triangles[e], flag),
+                                   np.ones(len(border))]))
+        flag[T.triangles[e0]] = 0.0
+        denom[dofs[-1]] += raw[-1]
     weights = [w / denom[d] for w, d in zip(raw, dofs)]
     return Decomposition(elems0=elems0, elems=elems, dofs=dofs, weights=weights)
 
@@ -220,11 +217,12 @@ def mras_local_matrix(sysm, dec, i, ic):
     tris = T.triangles[dec.elems[i]]
     verts, local = np.unique(tris, return_inverse=True)
     Ti = Triangulation(T.vertices[verts], local.reshape(tris.shape))
-    kind = np.full(T.n_edges, ic)
-    kind[dm.boundary_edges] = dm.boundary_kinds
     edges = np.unique(T.tri_edges[dec.elems[i]])  # global index of each local edge
-    B = assemble(Ti, build_dof_map(Ti, kind[edges[Ti.boundary_edge]]),
-                 sysm.nu, sysm.tau, sysm.eps).A
+    bnd = edges[Ti.boundary_edge]
+    kind = np.full(len(bnd), ic)
+    gamma = T.boundary_edge[bnd]
+    kind[gamma] = dm.boundary_kinds[np.searchsorted(dm.boundary_edges, bnd[gamma])]
+    B = assemble(Ti, build_dof_map(Ti, kind), sysm.nu, sysm.tau, sysm.eps).A
     if B.shape[0] < len(dofs):  # the global border dof of a non-floating problem
         B = sp.block_diag([B, sp.identity(1)], format="csr")
     return B

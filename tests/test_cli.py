@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hdgstokes import fem_space, mesh, schwarz
+from hdgstokes import fem_space, krylov, mesh, schwarz
 from hdgstokes.cli import main
 
 
@@ -32,6 +32,15 @@ def test_converge_csv(tmp_path):
     assert len(lines) == 4
     last = lines[3].split(",")
     assert 0.5 < float(last[5]) < 1.6  # energy order heading to 1
+
+
+def test_converge_stdout_matches_out_file(tmp_path, capsys):
+    args = ["converge", "--case", "bubble", "--n0", "2", "--levels", "2"]
+    out = tmp_path / "c.csv"
+    assert main(args + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(args) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
 def test_converge_refines_only_between_levels(monkeypatch):
@@ -123,6 +132,30 @@ def test_precond_single_subdomain(tmp_path):
     assert len(hist) == 2 + int(iters)
 
 
+def test_precond_none_from_zero_guess(monkeypatch, tmp_path):
+    # --precond none runs GMRES unpreconditioned and reports N = 0;
+    # --guess zero starts it from x0 = 0
+    seen = {}
+    gmres = krylov.gmres
+
+    def spy(apply_A, b, x0=None, apply_M=None, **kw):
+        seen.update(x0=x0, apply_M=apply_M)
+        return gmres(apply_A, b, x0=x0, apply_M=apply_M, **kw)
+
+    monkeypatch.setattr(krylov, "gmres", spy)
+    out = tmp_path / "p.csv"
+    assert main(["precond", "--case", "bubble", "--n", "4", "--precond", "none",
+                 "--guess", "zero", "--out", str(out)]) == 0
+    assert seen["apply_M"] is None
+    assert seen["x0"].shape == (201,) and not seen["x0"].any()
+    lines = out.read_text().splitlines()
+    assert "guess=zero" in lines[0]
+    n, kind, iters, conv = lines[2].split(",")
+    assert (n, kind, conv) == ("0", "none", "1")
+    hist = (tmp_path / "p.csv.history.csv").read_text().splitlines()
+    assert len(hist) == 2 + int(iters)
+
+
 def test_precond_single_subdomain_factors_at_n64(tmp_path):
     # the whole n = 64 NVTF matrix is nonsingular: the residual of its set-up
     # solve grows with its conditioning (1.1e-10), its backward error does not
@@ -180,8 +213,8 @@ def test_solve_csv_and_tshape_rejection(tmp_path, capsys):
 
 
 def test_config_file_precedence(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("case=bubble\nbc=nvtf\nn0=2\nlevels=3\n")
+    cfg = tmp_path / "run.cfg"  # comments and blank lines are skipped
+    cfg.write_text("# study\ncase=bubble\n\nbc=nvtf\n  # indented\nn0 = 2\n   \nlevels=3\n")
     out1 = tmp_path / "c1.csv"
     assert main(["converge", "--config", str(cfg), "--out", str(out1)]) == 0
     assert len(out1.read_text().splitlines()) == 2 + 3
@@ -220,13 +253,14 @@ PRECOND = ["precond", "--case", "bubble", "--n", "4"]
     (PRECOND + ["--parts", "bisect:10000000000000000"], None),
     (PRECOND + ["--parts", "file:CFG"], ""),
     (PRECOND + ["--parts", "file:CFG"], "-1\n" * 32),
+    (["converge", "--config", "CFG"], "case=bubble\nlevels 2\n"),
 ], ids=["config-bad-choice", "config-bad-int", "config-unknown-key", "config-missing",
         "parts-uniform-0", "parts-bisect-0", "parts-malformed", "parts-uniform-empty",
         "parts-bisect-empty", "overlap-0", "info-n-0",
         "info-t-shape-odd", "parts-file-missing", "parts-file-short", "levels-0",
         "tau-negative", "tau-inf", "tol-inf", "config-nu-nan", "config-overlap-0",
         "seed-negative", "parts-uniform-huge", "parts-bisect-huge", "parts-file-empty",
-        "parts-file-negative"])
+        "parts-file-negative", "config-no-equals"])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv, config):
     cfg = tmp_path / "run.cfg"
     if config is not None:

@@ -83,7 +83,7 @@ def test_unknown_edge_kind_rejected():
 def test_dof_locations():
     T = generate("unit_square", 1)
     dm = build_dof_map(T, TVNF)
-    pts = vertex_field_at_dofs(T, dm, T.vertices)
+    pts = vertex_field_at_dofs(T.edges, T.triangles, T.vertices)
     # edge (0,0)-(1,0) is edge (v0, v1); find it
     e = next(i for i, (a, b) in enumerate(T.edges)
              if np.allclose(T.vertices[a], [0, 0]) and np.allclose(T.vertices[b], [1, 0]))

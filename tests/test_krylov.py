@@ -181,6 +181,16 @@ def test_velocity_first_rejects_bad_base_order(order, msg):
     assert "\n" not in str(err.value)
 
 
+@pytest.mark.parametrize("refine", [True, False])
+@pytest.mark.parametrize("order,msg", [([0, 0, 2], "repeats a row"),
+                                       ([0, 1, 3], "outside range")])
+def test_factorization_rejects_bad_order(refine, order, msg):
+    # both factor modes check the order as velocity_first checks its base order
+    A = sp.csr_matrix(np.array([[4.0, 1, 0], [1, 3, 1], [0, 1, 2]]))
+    with pytest.raises(ValueError, match=msg):
+        Factorization(A, refine=refine, order=order)
+
+
 def test_local_factor_is_unshifted_and_solves_once():
     # L U reproduces the permuted matrix itself, zero diagonal included (a
     # -1e-12 max|A| shift would show), and solve() is one triangular solve

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from hdgstokes import NVTF, TVNF, Triangulation, build_dof_map, generate
 from hdgstokes import krylov, schwarz, system, verify
 from hdgstokes.fem_space import FIXES, edge_dofs
+from hdgstokes.quadrature import BDM_NODES
 
 
 def assembled(case, n, eps=-1):
@@ -114,18 +116,22 @@ def test_overlap_grows_and_covers():
 
 
 def test_overlap_matches_vertex_bfs_oracle():
-    # membership in the overlapped part <=> within l vertex-layers of the part
+    # membership in the overlapped part <=> within l vertex-layers of the part;
+    # every part, sorted
     T = generate("unit_square", 4)
-    parts = schwarz.partition_uniform(T, 2, 1)
-    for l in (1, 2):
-        _, elems = schwarz.add_overlap(T, parts, l)
-        own = np.flatnonzero(parts == 0)
-        layer = set(own)
-        for _ in range(l):
-            verts = set(T.triangles[sorted(layer)].ravel())
-            layer = {k for k in range(T.n_triangles)
-                     if set(T.triangles[k]) & verts} | layer
-        assert set(elems[0]) == layer
+    for spec_ in ("uniform:2x1", "bisect:5"):
+        parts = schwarz.decompose(T, spec_)
+        for l in (1, 2, 3):
+            elems0, elems = schwarz.add_overlap(T, parts, l)
+            assert len(elems0) == len(elems) == parts.max() + 1
+            for i, (own, grown) in enumerate(zip(elems0, elems)):
+                assert own.tolist() == np.flatnonzero(parts == i).tolist()
+                layer = set(own)
+                for _ in range(l):
+                    verts = set(T.triangles[sorted(layer)].ravel())
+                    layer = {k for k in range(T.n_triangles)
+                             if set(T.triangles[k]) & verts} | layer
+                assert grown.tolist() == sorted(layer)
 
 
 # --- partition of unity ------------------------------------------------------
@@ -182,6 +188,65 @@ def test_every_dof_in_some_subdomain_and_extension_transpose():
         ext[dofs] = x[dofs]          # R_i^T R_i x
         assert np.array_equal(ext[dofs], x[dofs])
     assert covered.all()
+
+
+def reference_decomposition(T, dm, parts, l):
+    """(elems0, elems, dofs, weights) built part by part over the whole mesh:
+    each part grown by its own vertex-incidence products, its dofs collected
+    and sorted, its vertex indicator interpolated at every dof of the mesh."""
+    nt, ne = T.n_triangles, T.n_edges
+    Inc = sp.csr_matrix((np.ones(3 * nt), (T.triangles.ravel(), np.repeat(np.arange(nt), 3))),
+                        shape=(T.n_vertices, nt))
+    all_edges = edge_dofs(ne, np.arange(ne))
+    elems0, elems, dofs, raw = [], [], [], []
+    denom = np.zeros(dm.n_total)
+    for i in range(int(parts.max()) + 1):
+        cur = parts == i
+        elems0.append(np.flatnonzero(cur))
+        for _ in range(l):
+            cur = Inc.T @ (Inc @ cur) > 0
+        elems.append(np.flatnonzero(cur))
+        d = [edge_dofs(ne, np.unique(T.tri_edges[elems[-1]])).ravel(), dm.pres_dof(elems[-1])]
+        if dm.mean_constraint_dof is not None:
+            d.append(np.array([dm.mean_constraint_dof]))
+        dofs.append(np.sort(np.concatenate(d)))
+        flag = np.zeros(T.n_vertices)
+        flag[T.triangles[elems0[-1]].ravel()] = 1.0
+        lo, hi = flag[T.edges[:, 0]], flag[T.edges[:, 1]]
+        vals = np.ones(dm.n_total)  # the NVTF border keeps indicator 1
+        for m, s in enumerate(BDM_NODES):
+            vals[all_edges[:, m]] = (1 - s) * lo + s * hi
+        vals[all_edges[:, 2]] = 0.5 * (lo + hi)
+        vals[dm.pres_dof(np.arange(nt))] = flag[T.triangles].mean(axis=1)
+        raw.append(vals[dofs[-1]])
+        np.add.at(denom, dofs[-1], raw[-1])
+    return elems0, elems, dofs, [w / denom[d] for w, d in zip(raw, dofs)]
+
+
+ORACLE_SPECS = ("uniform:2x2", "uniform:3x3", "uniform:1x4", "bisect:1", "bisect:3", "bisect:7")
+
+
+@pytest.mark.parametrize("bc", [TVNF, NVTF])
+@pytest.mark.parametrize("domain,n,specs", [
+    ("unit_square", 2, [s for s in ORACLE_SPECS if s != "uniform:3x3"]),  # 9 parts, 8 triangles
+    ("unit_square", 8, ORACLE_SPECS),
+    ("unit_square", 16, ORACLE_SPECS),
+    ("t_shape", 4, [s for s in ORACLE_SPECS if s.startswith("bisect")]),  # cells need the square
+], ids=["square2", "square8", "square16", "tshape4"])
+def test_decomposition_matches_whole_mesh_oracle(bc, domain, n, specs):
+    # every array, values and dtypes, bitwise
+    T = generate(domain, n)
+    dm = build_dof_map(T, bc)
+    for spec_ in specs:
+        parts = schwarz.decompose(T, spec_)
+        for l in (1, 2, 3):
+            dec = schwarz.build_decomposition(T, dm, parts, l)
+            ref = reference_decomposition(T, dm, parts, l)
+            got = (dec.elems0, dec.elems, dec.dofs, dec.weights)
+            for name, a_list, b_list in zip(("elems0", "elems", "dofs", "weights"), got, ref):
+                assert len(a_list) == len(b_list) == parts.max() + 1, (spec_, l, name)
+                for a, b in zip(a_list, b_list):
+                    assert a.dtype == b.dtype and np.array_equal(a, b), (spec_, l, name)
 
 
 # --- preconditioners ---------------------------------------------------------
