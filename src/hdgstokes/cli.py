@@ -6,11 +6,12 @@ full configuration, and identical configurations (including the seed)
 produce byte-identical output. Exit codes: 0 success, 1 usage error,
 2 numerical failure.
 
-Option precedence: command-line flags > --config file (key=value lines)
-> defaults (tau=6, nu=1, eps=-1, tol=1e-6, overlap=1). Config values pass
-through the flags' own argparse types, so both get the same checks: tau,
-nu and tol positive and finite, counts at least 1, the seed non-negative,
-a valid --parts spec.
+Option precedence: command-line flags > --config file > the flags'
+defaults. Each key=value line of the config file is read as the flag
+--key=value, ahead of the command line's flags, and argparse keeps the last
+value of a flag; so config keys get the flags' types, choices and range
+checks (tau, nu and tol positive and finite, counts at least 1, the seed
+non-negative, a valid --parts spec) and accept the same prefixes.
 converge, precond and solve share their problem flags and one set-up
 path (_solved).
 """
@@ -62,9 +63,9 @@ def _parts(text):
 def _build_parser():
     problem = argparse.ArgumentParser(add_help=False)
     problem.add_argument("--case", choices=sorted(CASE_BC))
-    problem.add_argument("--eps", type=int, choices=[-1, 1])
-    problem.add_argument("--tau", type=_positive)
-    problem.add_argument("--nu", type=_positive)
+    problem.add_argument("--eps", type=int, choices=[-1, 1], default=-1)
+    problem.add_argument("--tau", type=_positive, default=6.0)
+    problem.add_argument("--nu", type=_positive, default=1.0)
     problem.add_argument("--out")
     problem.add_argument("--config")
     bc = argparse.ArgumentParser(add_help=False)
@@ -74,19 +75,20 @@ def _build_parser():
     sub = p.add_subparsers(dest="command", required=True)
     c = sub.add_parser("converge", parents=[problem, bc],
                        description="manufactured-solution convergence study")
-    c.add_argument("--n0", type=_at_least_one)
-    c.add_argument("--levels", type=_at_least_one)
+    c.add_argument("--n0", type=_at_least_one, default=8)
+    c.add_argument("--levels", type=_at_least_one, default=4)
 
     q = sub.add_parser("precond", parents=[problem, bc],
                        description="GMRES preconditioner comparison")
     q.add_argument("--n", type=_at_least_one)
-    q.add_argument("--parts", type=_parts)
-    q.add_argument("--overlap", type=_at_least_one)
-    q.add_argument("--precond", choices=["ras", *(f"mras-{k}" for k in FIXES), "none"])
-    q.add_argument("--tol", type=_positive)
-    q.add_argument("--max-iter", type=_at_least_one)
-    q.add_argument("--seed", type=_non_negative)
-    q.add_argument("--guess", choices=["random", "zero"])
+    q.add_argument("--parts", type=_parts, default="uniform:2x2")
+    q.add_argument("--overlap", type=_at_least_one, default=1)
+    q.add_argument("--precond", choices=["ras", *(f"mras-{k}" for k in FIXES), "none"],
+                   default="ras")
+    q.add_argument("--tol", type=_positive, default=1e-6)
+    q.add_argument("--max-iter", type=_at_least_one, default=400)
+    q.add_argument("--seed", type=_non_negative, default=0)
+    q.add_argument("--guess", choices=["random", "zero"], default="random")
 
     i = sub.add_parser("info", description="mesh and dof statistics")
     i.add_argument("--domain", choices=["unit_square", "t_shape"], default="unit_square")
@@ -94,73 +96,54 @@ def _build_parser():
     i.add_argument("--bc", choices=list(FIXES), default="tvnf")
 
     s = sub.add_parser("solve", parents=[problem], description="solve one case, export fields")
-    s.add_argument("--domain")
+    s.add_argument("--domain", default="unit_square")
     s.add_argument("--n", type=_at_least_one)
     return p
 
 
-_DEFAULTS = dict(tau=6.0, nu=1.0, eps=-1, tol=1e-6, overlap=1, n0=8, levels=4,
-                 seed=0, guess="random", max_iter=400, parts="uniform:2x2",
-                 precond="ras", domain="unit_square")
-
-
 def _read_config(path):
-    """(key, value) pairs of a key=value config file."""
+    """The lines of a key=value config file as --key=value flags."""
     try:
         with open(path) as f:
             lines = f.read().splitlines()
     except OSError as err:
         raise UsageError(f"cannot read config file {path}: {err.strerror}") from None
-    pairs = []
+    flags = []
     for line in lines:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise UsageError(f"bad config line {line!r}")
+            raise UsageError(f"{path}: bad config line {line!r}")
         k, _, v = line.partition("=")
-        pairs.append((k.strip(), v.strip()))
-    return pairs
+        flags.append(f"--{k.strip().replace('_', '-')}={v.strip()}")
+    return flags
 
 
-def _merge(parser, args):
-    """flags > config file > defaults; --case and --n are required where a
-    subcommand has them, and the case sets bc.
-
-    Config values are parsed by the same argparse flags, so they get the
-    flags' types, range checks and choices; an unknown key is a usage error.
-    """
-    keys = [k for k in vars(args) if k not in ("command", "config")]
-    cfg = {}
-    path = getattr(args, "config", None)
-    if path:
-        argv = [args.command]
-        for k, v in _read_config(path):
-            if k not in keys:
-                raise UsageError(f"{path}: unknown key {k!r}")
-            argv.append(f"--{k.replace('_', '-')}={v}")
+def _parse(parser, argv):
+    """The options of argv as a dict: flags > config file > defaults. The
+    config flags are parsed alone first, so that an error names the file.
+    --case and --n are required where a subcommand has them; the case sets bc."""
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None):  # info has no --config
+        flags = _read_config(args.config)
         try:
-            cfg = vars(parser.parse_args(argv))
+            if parser.parse_args([args.command, *flags]).config is not None:
+                raise UsageError("a config file cannot name another one")
         except UsageError as err:
-            raise UsageError(f"{path}: {err}") from None
-    out = {}
-    for key in keys:
-        v = getattr(args, key)
-        if v is None:
-            v = cfg.get(key)
-        if v is None:
-            v = _DEFAULTS.get(key)
-        out[key] = v
+            raise UsageError(f"{args.config}: {err}") from None
+        args = parser.parse_args([args.command, *flags, *argv[1:]])
+    cfg = vars(args)
     for key in ("n", "case"):
-        if key in out and out[key] is None:
+        if key in cfg and cfg[key] is None:
             raise UsageError(f"--{key} is required")
-    if "case" in out:
-        bc = CASE_BC[out["case"]]
-        if out.get("bc") not in (None, bc):
-            raise UsageError(f"case {out['case']} pairs with {bc.upper()} boundary "
-                             f"conditions, not {out['bc']}")
-        out["bc"] = bc
-    return out
+    if "case" in cfg:
+        bc = CASE_BC[cfg["case"]]
+        if cfg.get("bc") not in (None, bc):
+            raise UsageError(f"case {cfg['case']} pairs with {bc.upper()} boundary "
+                             f"conditions, not {cfg['bc']}")
+        cfg["bc"] = bc
+    return cfg
 
 
 def _fmt(x):
@@ -280,8 +263,8 @@ _RUN = dict(converge=run_converge, precond=run_precond, info=run_info, solve=run
 def main(argv=None):
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        _RUN[args.command](_merge(parser, args))
+        cfg = _parse(parser, sys.argv[1:] if argv is None else argv)
+        _RUN[cfg.pop("command")](cfg)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

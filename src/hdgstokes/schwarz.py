@@ -100,8 +100,10 @@ def _require_nonempty(parts, n_parts):
 
 
 def partition_uniform(T, px, py):
-    """Assign triangles of the unit square to a px-by-py cell grid by barycenter."""
-    b = T.barycenters()
+    """Assign triangles by barycenter to a px-by-py cell grid over the mesh's
+    bounding box (on the unit square, (b - 0) / (1 - 0) leaves b unchanged)."""
+    lo, hi = T.vertices.min(axis=0), T.vertices.max(axis=0)
+    b = (T.barycenters() - lo) / (hi - lo)
     ix = np.minimum((b[:, 0] * px).astype(int), px - 1)
     iy = np.minimum((b[:, 1] * py).astype(int), py - 1)
     return iy * px + ix
@@ -223,8 +225,10 @@ def mras_local_matrix(sysm, dec, i, ic):
     gamma = T.boundary_edge[bnd]
     kind[gamma] = dm.boundary_kinds[np.searchsorted(dm.boundary_edges, bnd[gamma])]
     B = assemble(Ti, build_dof_map(Ti, kind), sysm.nu, sysm.tau, sysm.eps).A
-    if B.shape[0] < len(dofs):  # the global border dof of a non-floating problem
-        B = sp.block_diag([B, sp.identity(1)], format="csr")
+    m = B.shape[0]
+    if m < len(dofs):  # the global border dof of a non-floating problem: an identity row
+        B = sp.csr_matrix((np.append(B.data, 1.0), np.append(B.indices, m),
+                           np.append(B.indptr, B.nnz + 1)), shape=(m + 1, m + 1))
     return B
 
 

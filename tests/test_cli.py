@@ -1,5 +1,7 @@
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,7 +214,7 @@ def test_solve_csv_and_tshape_rejection(tmp_path, capsys):
     assert "out of scope" in capsys.readouterr().err
 
 
-def test_config_file_precedence(tmp_path):
+def test_config_file_precedence(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"  # comments and blank lines are skipped
     cfg.write_text("# study\ncase=bubble\n\nbc=nvtf\n  # indented\nn0 = 2\n   \nlevels=3\n")
     out1 = tmp_path / "c1.csv"
@@ -222,6 +224,54 @@ def test_config_file_precedence(tmp_path):
     assert main(["converge", "--config", str(cfg), "--levels", "2",
                  "--out", str(out2)]) == 0
     assert len(out2.read_text().splitlines()) == 2 + 2
+    # flag > config > default, for an int, a float, a choice and --parts
+    required = {"converge": "case=bubble\nn0=2\n", "precond": "case=bubble\nn=2\n"}
+    for command, key, default, in_config, flag in [
+            ("converge", "levels", "4", "1", "2"),
+            ("converge", "tau", "6.0", "3.0", "4.0"),
+            ("precond", "precond", "ras", "mras-nvtf", "none"),
+            ("precond", "parts", "uniform:2x2", "uniform:1x2", "bisect:3")]:
+        for lines, flags, want in [("", [], default),
+                                   (f"{key}={in_config}\n", [], in_config),
+                                   (f"{key}={in_config}\n", [f"--{key}", flag], flag)]:
+            cfg.write_text(required[command] + lines)
+            assert main([command, "--config", str(cfg), *flags]) == 0
+            words = capsys.readouterr().out.splitlines()[0].split()
+            assert f"{key}={want}" in words, (command, lines, flags)
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["converge", "--case", "bubble"],
+     "# config: command=converge bc=nvtf case=bubble eps=-1 levels=4 n0=8 nu=1.0 tau=6.0"),
+    (["precond", "--case", "bubble", "--n", "2"],
+     "# config: command=precond bc=nvtf case=bubble eps=-1 guess=random max_iter=400 n=2 "
+     "nu=1.0 overlap=1 parts=uniform:2x2 precond=ras seed=0 tau=6.0 tol=1e-06"),
+    (["solve", "--case", "poiseuille", "--n", "1"],
+     "# config: command=solve bc=tvnf case=poiseuille domain=unit_square eps=-1 n=1 nu=1.0 "
+     "tau=6.0"),
+], ids=["converge", "precond", "solve"])
+def test_defaults_in_config_comment(capsys, argv, line):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[0] == line
+
+
+@pytest.mark.parametrize("argv,rc,err", [
+    (["info", "--n", "1"], 0, ""),
+    (["precond", "--case", "bubble", "--n", "4", "--parts", "foo:1"], 1, "error: "),
+    (["converge", "--case", "curl_trig", "--nu", "1e-300", "--n0", "2", "--levels", "1"],
+     2, "numerical failure: "),
+], ids=["ok", "usage", "numerical"])
+def test_module_entry_point(argv, rc, err):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-m", "hdgstokes.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == rc
+    if rc:
+        [line] = proc.stderr.splitlines()
+        assert line.startswith(err)
+    else:
+        assert proc.stdout == "triangles=2 edges=5 dofs=17\n" and not proc.stderr
 
 
 PRECOND = ["precond", "--case", "bubble", "--n", "4"]
@@ -254,13 +304,17 @@ PRECOND = ["precond", "--case", "bubble", "--n", "4"]
     (PRECOND + ["--parts", "file:CFG"], ""),
     (PRECOND + ["--parts", "file:CFG"], "-1\n" * 32),
     (["converge", "--config", "CFG"], "case=bubble\nlevels 2\n"),
+    (["converge", "--config", "CFG"], "case=bubble\nconfig=x\n"),
+    (["converge", "--config", "CFG"], "case=bubble\nn=4\n"),
+    (PRECOND + ["--parts", "foo:1"], None),
 ], ids=["config-bad-choice", "config-bad-int", "config-unknown-key", "config-missing",
         "parts-uniform-0", "parts-bisect-0", "parts-malformed", "parts-uniform-empty",
         "parts-bisect-empty", "overlap-0", "info-n-0",
         "info-t-shape-odd", "parts-file-missing", "parts-file-short", "levels-0",
         "tau-negative", "tau-inf", "tol-inf", "config-nu-nan", "config-overlap-0",
         "seed-negative", "parts-uniform-huge", "parts-bisect-huge", "parts-file-empty",
-        "parts-file-negative", "config-no-equals"])
+        "parts-file-negative", "config-no-equals", "config-key-config",
+        "config-ambiguous-key", "parts-unknown"])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv, config):
     cfg = tmp_path / "run.cfg"
     if config is not None:
@@ -270,3 +324,5 @@ def test_bad_input_is_usage_error(tmp_path, capsys, argv, config):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    if "--config" in argv:  # an error in or about the config file names it
+        assert argv[argv.index("--config") + 1] in err

@@ -31,6 +31,11 @@ def test_lu_random_diagonally_dominant():
     assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
+def test_lu_rejects_non_square():
+    with pytest.raises(FactorizationError, match="must be square"):
+        Factorization(sp.csr_matrix((2, 3)))
+
+
 def test_lu_singular_raises():
     A = sp.csc_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
     with pytest.raises(FactorizationError):

@@ -85,6 +85,12 @@ def test_edge_rule_exactness(npts, maxdeg):
         assert abs(np.dot(w, x ** d) - 1 / (d + 1)) < 1e-14
 
 
+@pytest.mark.parametrize("npts", [1, 5])
+def test_edge_rule_unknown_size(npts):
+    with pytest.raises(ValueError, match=f"no edge rule with {npts} points"):
+        edge_gauss(npts)
+
+
 # --- BDM1 basis ----------------------------------------------------------
 
 def test_duality_reference_triangle():
@@ -159,6 +165,12 @@ def test_local_a_rejects_bad_tau():
     ker = ElementStack(reference_mesh())
     with pytest.raises(ValueError):
         local_a(ker, nu=1.0, tau=0.0, eps=-1)
+
+
+def test_local_a_rejects_bad_eps():
+    ker = ElementStack(reference_mesh())
+    with pytest.raises(ValueError, match="symmetry switch"):
+        local_a(ker, nu=1.0, tau=6.0, eps=0)
 
 
 def test_constant_field_annihilated():

@@ -58,6 +58,11 @@ def test_generate_rejects_n0():
         mesh.generate("unit_square", 0)
 
 
+def test_generate_rejects_unknown_domain():
+    with pytest.raises(ValueError, match="unknown domain 'disk'"):
+        mesh.generate("disk", 4)
+
+
 @pytest.mark.parametrize("domain,n", [("unit_square", 1), ("unit_square", 5),
                                       ("t_shape", 2), ("t_shape", 4)])
 def test_invariants(domain, n):
@@ -149,6 +154,15 @@ def test_read_mesh_non_finite_vertex(x):
     # fails the area test, so the coordinates themselves are checked
     with pytest.raises(mesh.MeshError, match="finite"):
         mesh.Triangulation([(0, 0), (x, 0), (0, 1)], [[0, 1, 2]])
+
+
+@pytest.mark.parametrize("vertices,triangles,msg", [
+    ([(0, 0, 0), (1, 0, 0), (0, 1, 0)], [[0, 1, 2]], r"vertices must be an \(nv, 2\)"),
+    ([(0, 0), (1, 0), (0, 1)], [0, 1, 2], r"triangles must be an \(nt, 3\)"),
+])
+def test_read_mesh_bad_shape(vertices, triangles, msg):
+    with pytest.raises(mesh.MeshError, match=msg):
+        mesh.Triangulation(vertices, triangles)
 
 
 # --- recursive coordinate bisection ----------------------------------------

@@ -38,6 +38,12 @@ def test_uniform_2x2_counts():
     assert list(np.bincount(parts)) == [8, 8, 8, 8]
 
 
+def test_uniform_2x2_counts_on_t_shape():
+    # the cells cut the bounding box [0, 1.5] x [-1, 1]: the stem is its lower half
+    parts = schwarz.decompose(generate("t_shape", 4), "uniform:2x2")
+    assert list(np.bincount(parts)) == [8, 8, 24, 24]
+
+
 def test_bisect_balance_large_mesh():
     T = generate("unit_square", 250)
     parts = schwarz.partition_bisect(T, 3)
@@ -82,11 +88,14 @@ def test_partition_file_empty_part(tmp_path):
         schwarz.partition_from_file(T, path)
 
 
-@pytest.mark.parametrize("n,spec,msg", [(2, "uniform:8x8", "56 of 64"),
-                                        (4, "bisect:40", "8 of 40")])
-def test_decompose_rejects_empty_parts(n, spec, msg):
+@pytest.mark.parametrize("domain,n,spec,msg", [
+    ("unit_square", 2, "uniform:8x8", "56 of 64"),
+    ("unit_square", 4, "bisect:40", "8 of 40"),
+    ("t_shape", 4, "uniform:3x3", "2 of 9"),  # the cells left and right of the stem
+], ids=["2-uniform:8x8-56 of 64", "4-bisect:40-8 of 40", "tshape4-uniform:3x3-2 of 9"])
+def test_decompose_rejects_empty_parts(domain, n, spec, msg):
     with pytest.raises(ValueError, match=f"partition leaves {msg} parts empty"):
-        schwarz.decompose(generate("unit_square", n), spec)
+        schwarz.decompose(generate(domain, n), spec)
 
 
 # --- overlap ---------------------------------------------------------------
@@ -231,7 +240,7 @@ ORACLE_SPECS = ("uniform:2x2", "uniform:3x3", "uniform:1x4", "bisect:1", "bisect
     ("unit_square", 2, [s for s in ORACLE_SPECS if s != "uniform:3x3"]),  # 9 parts, 8 triangles
     ("unit_square", 8, ORACLE_SPECS),
     ("unit_square", 16, ORACLE_SPECS),
-    ("t_shape", 4, [s for s in ORACLE_SPECS if s.startswith("bisect")]),  # cells need the square
+    ("t_shape", 4, [s for s in ORACLE_SPECS if s != "uniform:3x3"]),  # 2 of 9 cells empty
 ], ids=["square2", "square8", "square16", "tshape4"])
 def test_decomposition_matches_whole_mesh_oracle(bc, domain, n, specs):
     # every array, values and dtypes, bitwise
@@ -329,6 +338,13 @@ def test_ras_and_mras_coincide_for_single_subdomain():
             v = rng.standard_normal(dm.n_total)
             a, b = ras.apply(v), mras.apply(v)
             assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(a)
+
+
+def test_mras_rejects_unknown_interface_condition():
+    ex, T, dm, sysm = assembled("bubble", 4)
+    dec = schwarz.build_decomposition(T, dm, np.zeros(dm.n_tris, dtype=int), 1)
+    with pytest.raises(ValueError, match="unknown interface condition 'robin'"):
+        schwarz.build_mras(sysm, dec, "robin")
 
 
 def test_preconditioner_apply_is_linear():
