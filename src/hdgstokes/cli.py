@@ -4,7 +4,7 @@ Subcommands: converge, precond, info, solve. All results go to CSV on
 stdout or to --out; every CSV starts with a comment line embedding the
 full configuration, and identical configurations (including the seed)
 produce byte-identical output. Exit codes: 0 success, 1 usage error,
-2 numerical failure.
+2 numerical failure or out of memory.
 
 Option precedence: command-line flags > --config file > the flags'
 defaults. Each key=value line of the config file is read as the flag
@@ -120,30 +120,34 @@ def _read_config(path):
     return flags
 
 
+def _paired(args):
+    """args with bc set by the case, if one is given; another bc is a UsageError."""
+    bc = CASE_BC.get(getattr(args, "case", None))
+    if bc is not None:
+        if getattr(args, "bc", None) not in (None, bc):
+            raise UsageError(f"case {args.case} pairs with {bc.upper()} boundary "
+                             f"conditions, not {args.bc}")
+        args.bc = bc
+    return args
+
+
 def _parse(parser, argv):
     """The options of argv as a dict: flags > config file > defaults. The
-    config flags are parsed alone first, so that an error names the file.
-    --case and --n are required where a subcommand has them; the case sets bc."""
+    config flags are parsed (and paired) alone first, so that an error names
+    the file. --case and --n are required where a subcommand has them."""
     args = parser.parse_args(argv)
     if getattr(args, "config", None):  # info has no --config
         flags = _read_config(args.config)
         try:
-            if parser.parse_args([args.command, *flags]).config is not None:
+            if _paired(parser.parse_args([args.command, *flags])).config is not None:
                 raise UsageError("a config file cannot name another one")
         except UsageError as err:
             raise UsageError(f"{args.config}: {err}") from None
         args = parser.parse_args([args.command, *flags, *argv[1:]])
-    cfg = vars(args)
     for key in ("n", "case"):
-        if key in cfg and cfg[key] is None:
+        if getattr(args, key, 0) is None:
             raise UsageError(f"--{key} is required")
-    if "case" in cfg:
-        bc = CASE_BC[cfg["case"]]
-        if cfg.get("bc") not in (None, bc):
-            raise UsageError(f"case {cfg['case']} pairs with {bc.upper()} boundary "
-                             f"conditions, not {cfg['bc']}")
-        cfg["bc"] = bc
-    return cfg
+    return vars(_paired(args))
 
 
 def _fmt(x):
@@ -268,7 +272,7 @@ def main(argv=None):
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (krylov.FactorizationError, mesh.MeshError, ValueError) as err:
+    except (krylov.FactorizationError, mesh.MeshError, ValueError, MemoryError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 2
     return 0

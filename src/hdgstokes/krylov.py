@@ -71,22 +71,17 @@ def velocity_first(A, order=None):
     C = sp.coo_matrix(A)
     keep = zero[C.row] & ~zero[C.col] & (C.data != 0)
     r, c = C.row[keep], C.col[keep]
-    # per column: its zero-diagonal row of smallest rank
-    s = np.lexsort((rank[r], c))
-    sr, sc = r[s], c[s]
-    head = np.diff(sc, prepend=-1) != 0
-    sr, sc = sr[head], sc[head]
-    # per selected row: the first column, by rank, that selects it
-    s = np.lexsort((rank[sc], sr))
-    p, j = sr[s], sc[s]
-    head = np.diff(p, prepend=-1) != 0
-    p, j = p[head], j[head]
+    # per column: its zero-diagonal row of smallest rank, one as ranks are unique
+    low = np.full(n, n)
+    np.minimum.at(low, c, rank[r])
+    sel = rank[r] == low[c]
     key = 2 * rank
     key[zero] = 4 * n + rank[zero]
     border = zero.copy()
     border[r] = False
     key[border] = 2 * n + rank[border]
-    key[p] = 2 * rank[j] + 1
+    # a selected row (key 4n + rank) goes right after its first column by rank
+    np.minimum.at(key, r[sel], 2 * rank[c[sel]] + 1)
     return np.argsort(key)
 
 
@@ -143,7 +138,7 @@ class Factorization:
         except RuntimeError as err:
             raise FactorizationError(f"sparse LU failed: {err}") from err
         if not refine:
-            x = self.solve(np.ones(self.n))
+            x = self._lu_solve(np.ones(self.n))
             xmax = np.abs(x).max()
             backward = np.abs(1 - A @ x).max() / (abs(A).sum(axis=1).max() * xmax + 1)
             if not (backward <= 1e-12 and scale * xmax <= 1e14):

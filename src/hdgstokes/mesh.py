@@ -60,25 +60,20 @@ class Triangulation:
         b = np.roll(t, -1, axis=1).ravel()
         # one key per (lo, hi) pair; sorted keys keep the edges lexicographic
         nv = len(self.vertices)
-        keys, inverse = np.unique(np.minimum(a, b) * nv + np.maximum(a, b),
-                                  return_inverse=True)
+        keys, inverse, counts = np.unique(np.minimum(a, b) * nv + np.maximum(a, b),
+                                          return_inverse=True, return_counts=True)
         self.edges = np.column_stack([keys // nv, keys % nv])
         self.tri_edges = inverse.reshape(nt, 3).astype(np.int64)
         # traversal a->b against the (lo, hi) convention fixes the sign
         self.tri_edge_sign = np.where(a > b, 1, -1).reshape(nt, 3).astype(np.int64)
 
-        ne = self.edges.shape[0]
-        counts = np.bincount(self.tri_edges.ravel(), minlength=ne)
         if counts.max(initial=0) > 2:
             raise MeshError("non-manifold mesh: an edge belongs to more than 2 triangles")
-        self.edge_tris = np.full((ne, 2), -1, dtype=np.int64)
-        order = np.argsort(self.tri_edges.ravel(), kind="stable")
-        tri_of_slot = np.repeat(np.arange(nt), 3)[order]
-        edge_sorted = self.tri_edges.ravel()[order]
-        first = np.searchsorted(edge_sorted, np.arange(ne), side="left")
-        self.edge_tris[:, 0] = tri_of_slot[first]
-        second = counts == 2
-        self.edge_tris[second, 1] = tri_of_slot[first[second] + 1]
+        # the triangle of each slot (3 per triangle), edge by edge, ascending in each
+        tri_of_slot = np.argsort(inverse, kind="stable") // 3
+        end = np.cumsum(counts)
+        self.edge_tris = np.column_stack([tri_of_slot[end - counts],
+                                          np.where(counts == 2, tri_of_slot[end - 1], -1)])
         self.boundary_edge = counts == 1
 
         v = self.vertices

@@ -207,18 +207,16 @@ def mras_local_matrix(sysm, dec, i, ic):
     ic. The natural flux condition there (sigma_nn = 0 for TVNF, sigma_nt = 0
     for NVTF) costs nothing and the conjugate velocity trace is fixed to zero.
 
-    B_i needs no index map because the vertex renumbering by np.unique is
-    monotone: the local mesh then numbers its triangles, and its edges (by
-    sorted vertex pair), in the global order, so its dofs come in the order
-    of dec.dofs[i]. A local problem whose boundary edges are all NVTF
-    floats and carries its own mean-pressure row at index n_geometric: the
-    global border dof for an NVTF system, one row past the subdomain's dofs
-    for a TVNF one. Otherwise a global border dof passes through as identity.
+    The local mesh keeps the global vertex ids, so it numbers its triangles
+    and its edges (sorted vertex pairs) in the global order, and its dofs
+    come in the order of dec.dofs[i]. A local problem whose boundary edges
+    are all NVTF floats and carries its own mean-pressure row at index
+    n_geometric: the global border dof for an NVTF system, one row past the
+    subdomain's dofs for a TVNF one. Otherwise a global border dof passes
+    through as identity.
     """
     T, dm, dofs = sysm.mesh, sysm.dofmap, dec.dofs[i]
-    tris = T.triangles[dec.elems[i]]
-    verts, local = np.unique(tris, return_inverse=True)
-    Ti = Triangulation(T.vertices[verts], local.reshape(tris.shape))
+    Ti = Triangulation(T.vertices, T.triangles[dec.elems[i]])
     edges = np.unique(T.tri_edges[dec.elems[i]])  # global index of each local edge
     bnd = edges[Ti.boundary_edge]
     kind = np.full(len(bnd), ic)

@@ -85,6 +85,15 @@ def test_numerical_failure_exit_code(monkeypatch, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_out_of_memory_is_numerical_failure(monkeypatch, capsys):
+    def gmres(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+    monkeypatch.setattr(krylov, "gmres", gmres)
+    assert main(["precond", "--case", "bubble", "--n", "2", "--max-iter", "1000000"]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == "numerical failure: Unable to allocate 7.28 TiB for an array"
+
+
 @pytest.mark.parametrize("case,kind,parts", [("bubble", "mras-tvnf", "1x4"),
                                               ("curl_trig", "mras-nvtf", "4x1")])
 def test_mras_kernel_strip_is_numerical_failure(capsys, case, kind, parts):
@@ -307,6 +316,7 @@ PRECOND = ["precond", "--case", "bubble", "--n", "4"]
     (["converge", "--config", "CFG"], "case=bubble\nconfig=x\n"),
     (["converge", "--config", "CFG"], "case=bubble\nn=4\n"),
     (PRECOND + ["--parts", "foo:1"], None),
+    (["converge", "--config", "CFG"], "case=bubble\nbc=tvnf\n"),
 ], ids=["config-bad-choice", "config-bad-int", "config-unknown-key", "config-missing",
         "parts-uniform-0", "parts-bisect-0", "parts-malformed", "parts-uniform-empty",
         "parts-bisect-empty", "overlap-0", "info-n-0",
@@ -314,7 +324,7 @@ PRECOND = ["precond", "--case", "bubble", "--n", "4"]
         "tau-negative", "tau-inf", "tol-inf", "config-nu-nan", "config-overlap-0",
         "seed-negative", "parts-uniform-huge", "parts-bisect-huge", "parts-file-empty",
         "parts-file-negative", "config-no-equals", "config-key-config",
-        "config-ambiguous-key", "parts-unknown"])
+        "config-ambiguous-key", "parts-unknown", "config-bad-pairing"])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv, config):
     cfg = tmp_path / "run.cfg"
     if config is not None:

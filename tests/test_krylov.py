@@ -115,14 +115,16 @@ def _rule_by_loops(A, rank):
 
 def _schwarz_local_matrices():
     """(local matrix, base order) of every RAS and MRAS subdomain: bubble (NVTF)
-    on 3x3 parts, whose MRAS-NVTF problems all float, and curl_trig (TVNF)
-    on 2x2 parts, whose MRAS-NVTF problems carry a border row past the dofs."""
-    for case, spec in [("bubble", "uniform:3x3"), ("curl_trig", "uniform:2x2")]:
+    on 3x3 parts, whose MRAS-NVTF problems all float, curl_trig (TVNF) on 2x2
+    parts, whose MRAS-NVTF problems carry a border row past the dofs, and
+    bubble on bisect:3 parts with two overlap layers."""
+    for case, spec, l in [("bubble", "uniform:3x3", 1), ("curl_trig", "uniform:2x2", 1),
+                          ("bubble", "bisect:3", 2)]:
         ex = verify.catalogue(case)
         T = generate("unit_square", 8)
         dm = build_dof_map(T, ex.bc)
         sysm = system.assemble(T, dm, f=ex.f, g=ex.g)
-        dec = schwarz.build_decomposition(T, dm, schwarz.decompose(T, spec), 1)
+        dec = schwarz.build_decomposition(T, dm, schwarz.decompose(T, spec), l)
         for i, dofs in enumerate(dec.dofs):
             # the mesh's dissection order restricted to the subdomain, local indices
             base = np.searchsorted(dofs, sysm.order[np.isin(sysm.order, dofs)])

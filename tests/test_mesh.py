@@ -63,15 +63,25 @@ def test_generate_rejects_unknown_domain():
         mesh.generate("disk", 4)
 
 
-@pytest.mark.parametrize("domain,n", [("unit_square", 1), ("unit_square", 5),
-                                      ("t_shape", 2), ("t_shape", 4)])
-def test_invariants(domain, n):
+@pytest.mark.parametrize("domain,n,refine", [("unit_square", 1, False), ("unit_square", 5, False),
+                                             ("t_shape", 2, False), ("t_shape", 4, False),
+                                             ("t_shape", 2, True)],
+                         ids=["unit_square-1", "unit_square-5", "t_shape-2", "t_shape-4",
+                              "t_shape-2-refined"])
+def test_invariants(domain, n, refine):
     T = mesh.generate(domain, n)
+    if refine:
+        T = mesh.refine_uniform(T)
     assert euler_holds(T)
     assert np.all(T.areas > 0)
     counts = np.bincount(T.tri_edges.ravel(), minlength=T.n_edges)
     assert set(np.unique(counts)) <= {1, 2}
     assert np.array_equal(counts == 1, T.boundary_edge)
+    # each edge's triangles (those holding both of its vertices), ascending, -1 padded
+    tris = [set(t) for t in T.triangles.tolist()]
+    oracle = [[k for k, t in enumerate(tris) if {lo, hi} <= t] for lo, hi in T.edges.tolist()]
+    oracle = np.array([ks + [-1] * (2 - len(ks)) for ks in oracle], dtype=np.int64)
+    assert T.edge_tris.dtype == oracle.dtype and np.array_equal(T.edge_tris, oracle)
 
 
 def test_refine_counts():

@@ -6,6 +6,7 @@ import scipy.sparse.linalg as spla
 from hdgstokes import NVTF, TVNF, Triangulation, build_dof_map, generate
 from hdgstokes import krylov, schwarz, system, verify
 from hdgstokes.fem_space import FIXES, edge_dofs
+from hdgstokes.local_assembly import ElementStack
 from hdgstokes.quadrature import BDM_NODES
 
 
@@ -425,10 +426,18 @@ def test_mras_local_matrix_matches_standalone_assembly(case, n, spec_, l):
     # np.unique keeps the vertex order, hence the edge and dof order
     ex, T, dm, sysm = assembled(case, n)
     dec = schwarz.build_decomposition(T, dm, schwarz.decompose(T, spec_), l)
+    stack = vars(ElementStack(T))
     for i in range(dec.n_parts):
         tris = T.triangles[dec.elems[i]]
         verts, local = np.unique(tris, return_inverse=True)
         Ti = Triangulation(T.vertices[verts], local.reshape(tris.shape))
+        # the sub-mesh's edges and element data are the global ones, in the global order
+        edges = T.edges[np.unique(T.tri_edges[dec.elems[i]])]
+        assert np.array_equal(verts[Ti.edges], edges)
+        assert np.array_equal(Triangulation(T.vertices, tris).edges, edges)
+        for name, value in vars(ElementStack(Ti)).items():
+            want = stack[name][dec.elems[i]]
+            assert value.dtype == want.dtype and value.tobytes() == want.tobytes(), name
         ref = system.assemble(Ti, build_dof_map(Ti, ex.bc), nu=sysm.nu,
                               tau=sysm.tau, eps=sysm.eps).A
         B = schwarz.mras_local_matrix(sysm, dec, i, ex.bc).tocsr()
@@ -437,6 +446,21 @@ def test_mras_local_matrix_matches_standalone_assembly(case, n, spec_, l):
         assert np.array_equal(B.indptr, ref.indptr)
         assert np.array_equal(B.indices, ref.indices)
         assert np.array_equal(B.data, ref.data)
+
+
+@pytest.mark.parametrize("kind", ["ras", TVNF, NVTF])
+def test_setup_makes_no_factor_solve(monkeypatch, kind):
+    # the set-up check of a local factor is a bare triangular solve, so every
+    # Factorization.solve is a preconditioner apply or a reference solve
+    ex, T, dm, sysm = assembled("bubble", 8)
+    dec = schwarz.build_decomposition(T, dm, schwarz.decompose(T, "uniform:2x2"), 1)
+    calls, solve = [], krylov.Factorization.solve
+    monkeypatch.setattr(krylov.Factorization, "solve",
+                        lambda self, b: calls.append(self) or solve(self, b))
+    pre = schwarz.build_ras(sysm, dec) if kind == "ras" else schwarz.build_mras(sysm, dec, kind)
+    assert calls == []
+    pre.apply(np.ones(dm.n_total))
+    assert calls == pre.factors
 
 
 def test_ras_beats_unpreconditioned():
