@@ -3,8 +3,9 @@
 Subcommands: converge, precond, info, solve. All results go to CSV on
 stdout or to --out; every CSV starts with a comment line embedding the
 full configuration, and identical configurations (including the seed)
-produce byte-identical output. Exit codes: 0 success, 1 usage error,
-2 numerical failure or out of memory.
+produce byte-identical output; precond --out adds <out>.history.csv.
+Exit codes: 0 success, 1 usage error or a file that cannot be read or
+written, 2 numerical failure or out of memory; errors are one stderr line.
 
 Option precedence: command-line flags > --config file > the flags'
 defaults. Each key=value line of the config file is read as the flag
@@ -103,11 +104,8 @@ def _build_parser():
 
 def _read_config(path):
     """The lines of a key=value config file as --key=value flags."""
-    try:
-        with open(path) as f:
-            lines = f.read().splitlines()
-    except OSError as err:
-        raise UsageError(f"cannot read config file {path}: {err.strerror}") from None
+    with open(path) as f:
+        lines = f.read().splitlines()
     flags = []
     for line in lines:
         line = line.strip()
@@ -208,7 +206,7 @@ def run_precond(cfg):
     else:
         try:
             parts = schwarz.decompose(T, cfg["parts"])
-        except (OSError, ValueError) as err:
+        except ValueError as err:
             raise UsageError(f"--parts: {err}") from None
         dec = schwarz.build_decomposition(T, sysm.dofmap, parts, cfg["overlap"])
         n_parts = dec.n_parts
@@ -230,7 +228,9 @@ def run_precond(cfg):
              f"{n_parts},{cfg['precond']},{rep.iterations},{int(rep.converged)}\n"]
     _emit("".join(lines), cfg["out"])
     if cfg["out"]:
-        krylov.write_history_csv(rep, cfg["out"] + ".history.csv", seed=cfg["seed"])
+        hist = [f"# stop=vs_reference tol={cfg['tol']!r} seed={cfg['seed']}\n", "iter,value\n"]
+        hist += (f"{i},{_fmt(v)}\n" for i, v in enumerate(rep.history, start=1))
+        _emit("".join(hist), cfg["out"] + ".history.csv")
     return rep
 
 
@@ -271,6 +271,9 @@ def main(argv=None):
         _RUN[cfg.pop("command")](cfg)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except OSError as err:  # a file named by the user cannot be read or written
+        print(f"error: cannot access {err.filename}: {err.strerror}", file=sys.stderr)
         return 1
     except (krylov.FactorizationError, mesh.MeshError, ValueError, MemoryError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)

@@ -23,11 +23,8 @@ m), then the 3 multipliers (6 + loc).
 
 import numpy as np
 
+from .mesh import MeshError
 from .quadrature import BDM_NODES, TRI_RULE, edge_gauss
-
-
-class GeometryError(Exception):
-    pass
 
 
 _EDGE_QUAD = edge_gauss(3)  # degree-5 on edges, used for the boundary data
@@ -71,8 +68,8 @@ class ElementStack:
         except np.linalg.LinAlgError:
             bad = np.flatnonzero(np.linalg.matrix_rank(F) < 6)
         if len(bad):
-            raise GeometryError(f"degenerate triangles {bad.tolist()}: "
-                                f"singular dof functional matrix")
+            raise MeshError(f"degenerate triangles {bad.tolist()}: "
+                            f"singular dof functional matrix")
 
         s = self.h_K[:, None]
         self.grads = np.stack([np.stack([self.coeffs[:, 1], self.coeffs[:, 2]], axis=-1),

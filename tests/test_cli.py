@@ -126,6 +126,47 @@ def test_nan_reference_residual_is_numerical_failure(capsys):
     assert line.startswith("numerical failure: ") and "residual nan" in line
 
 
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+def test_overflowing_local_factor_check_is_one_line(capsys):
+    # at nu = 1e300 the set-up check of the local factors overflows to inf
+    assert main(["precond", "--case", "bubble", "--n", "4", "--nu", "1e300"]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == "numerical failure: RAS subdomain 0: matrix is singular to working precision"
+
+
+@pytest.mark.filterwarnings("error")
+def test_huge_viscosity_reference_solve_is_quiet(capsys):
+    # ||b||_2 overflows at nu = 1e300; the refinement test scales r and b by
+    # max|b| first, so it neither warns nor compares inf <= inf
+    assert main(["converge", "--case", "bubble", "--nu", "1e300", "--n0", "2",
+                 "--levels", "1"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.splitlines()
+    assert lines[1] == "h,err_energy,err_h,err_l2_u,err_l2_p,eoc_energy,eoc_l2_u"
+    np.testing.assert_allclose(
+        [float(v) for v in lines[2].split(",")],
+        [0.7071067811865476, 2.222719032545624e+149, 2.222719032545624e+149,
+         0.006193782930172519, 0.408248290463863, np.nan, np.nan], rtol=1e-12)
+
+
+def test_history_csv(tmp_path):
+    # precond --out writes the GMRES history next to its CSV: the stop rule,
+    # tol and seed, then one iter,value row per iteration
+    out = tmp_path / "p.csv"
+    assert main(["precond", "--case", "bubble", "--n", "2", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[2] == "4,ras,6,1"
+    lines = (tmp_path / "p.csv.history.csv").read_text().splitlines()
+    assert lines[:2] == ["# stop=vs_reference tol=1e-06 seed=0", "iter,value"]
+    rows = [line.split(",") for line in lines[2:]]
+    assert [int(i) for i, _ in rows] == list(range(1, 7))
+    assert all(v == repr(float(v)) for _, v in rows)
+    np.testing.assert_allclose(
+        [float(v) for _, v in rows],
+        [0.505379519834465, 0.024109217339675987, 0.0010394624767802213,
+         6.099641311818644e-05, 3.4331907361883055e-06, 1.1979633344138928e-07], rtol=1e-6)
+
+
 def test_precond_single_subdomain(tmp_path):
     out = tmp_path / "p.csv"
     rc = main(["precond", "--case", "poiseuille", "--n", "4", "--parts",
@@ -269,12 +310,14 @@ def test_defaults_in_config_comment(capsys, argv, line):
     (["precond", "--case", "bubble", "--n", "4", "--parts", "foo:1"], 1, "error: "),
     (["converge", "--case", "curl_trig", "--nu", "1e-300", "--n0", "2", "--levels", "1"],
      2, "numerical failure: "),
-], ids=["ok", "usage", "numerical"])
-def test_module_entry_point(argv, rc, err):
+    (["solve", "--case", "poiseuille", "--n", "1", "--out", "nodir/f.csv"],
+     1, "error: cannot access nodir/f.csv: "),
+], ids=["ok", "usage", "numerical", "unwritable-out"])
+def test_module_entry_point(tmp_path, argv, rc, err):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     proc = subprocess.run([sys.executable, "-m", "hdgstokes.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert proc.returncode == rc
     if rc:
         [line] = proc.stderr.splitlines()
@@ -317,6 +360,10 @@ PRECOND = ["precond", "--case", "bubble", "--n", "4"]
     (["converge", "--config", "CFG"], "case=bubble\nn=4\n"),
     (PRECOND + ["--parts", "foo:1"], None),
     (["converge", "--config", "CFG"], "case=bubble\nbc=tvnf\n"),
+    (["converge", "--case", "bubble", "--n0", "2", "--levels", "1", "--out", "TMP/no/x.csv"],
+     None),
+    (["precond", "--case", "bubble", "--n", "2", "--out", "TMP"], None),
+    (["solve", "--case", "poiseuille", "--n", "2", "--out", "TMP/no/f.csv"], None),
 ], ids=["config-bad-choice", "config-bad-int", "config-unknown-key", "config-missing",
         "parts-uniform-0", "parts-bisect-0", "parts-malformed", "parts-uniform-empty",
         "parts-bisect-empty", "overlap-0", "info-n-0",
@@ -324,15 +371,18 @@ PRECOND = ["precond", "--case", "bubble", "--n", "4"]
         "tau-negative", "tau-inf", "tol-inf", "config-nu-nan", "config-overlap-0",
         "seed-negative", "parts-uniform-huge", "parts-bisect-huge", "parts-file-empty",
         "parts-file-negative", "config-no-equals", "config-key-config",
-        "config-ambiguous-key", "parts-unknown", "config-bad-pairing"])
+        "config-ambiguous-key", "parts-unknown", "config-bad-pairing",
+        "out-missing-dir-converge", "out-onto-dir-precond", "out-missing-dir-solve"])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv, config):
     cfg = tmp_path / "run.cfg"
     if config is not None:
         cfg.write_text(config)
     argv = [a.replace("CFG", str(cfg)).replace("MISSING", str(tmp_path / "none.cfg"))
-            for a in argv]
+            .replace("TMP", str(tmp_path)) for a in argv]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     if "--config" in argv:  # an error in or about the config file names it
         assert argv[argv.index("--config") + 1] in err
+    if "--out" in argv:
+        assert err.startswith(f"error: cannot access {argv[argv.index('--out') + 1]}: ")

@@ -352,6 +352,15 @@ def test_refinement_guard_rejects_singular_saddle_point():
         F.solve(b)
 
 
+def test_refinement_guard_holds_when_the_norm_of_b_overflows():
+    # ||b||_2 of b ~ 1e200 overflows; a guard that compared inf <= inf would
+    # accept this x, whose relative residual is 2e-2
+    A = singular_saddle_point()
+    b = 1e200 * np.random.default_rng(0).standard_normal(A.shape[0])
+    with pytest.raises(FactorizationError, match=r"relative residual \d"):  # not nan
+        Factorization(A, refine=True).solve(b)
+
+
 def test_local_factor_rejects_singular_saddle_point_at_setup():
     # without refine the set-up check raises, before any solve
     with pytest.raises(FactorizationError, match="singular to working precision"):
