@@ -5,20 +5,21 @@ symmetric order it is given. The global reference solve (refine=True)
 factors a copy whose zero diagonal (pressures, mean-pressure border) is
 shifted by -1e-12 max|A|, ordered by a nested dissection of the mesh
 (fem_space.dissection_order), and refines against the unshifted matrix
-until the residual stops falling. The Schwarz local factors (refine=False)
-factor the matrix itself, in the velocity-first order of velocity_first,
-which has no zero pivot; they are solved many times each, with one
-triangular solve, after a set-up check that bounds a backward error.
+while the residual halves, keeping only steps that lower it. The Schwarz
+local factors (refine=False) factor the matrix itself, in the
+velocity-first order of velocity_first, which has no zero pivot; they are
+solved many times each, with one triangular solve, after a set-up check
+that bounds a backward error.
 
 Full GMRES: one Arnoldi cycle of at most max_iter steps, modified
 Gram-Schmidt with Givens updates of the Hessenberg factor. The Arnoldi
 basis V and the preconditioned basis Z store one vector per contiguous
 row, zero-allocated, so only the rows used become resident; the report
-carries the Arnoldi basis. Two stopping rules are supported: the usual
-relative residual, where the iterate is formed once at the end, and
-'vs_reference', which measures the euclidean norm of the error against a
-direct reference solution at every iteration (x_k = x + y Z is rebuilt
-from the stored Z, so it costs no preconditioner applications).
+carries the Arnoldi basis. Every step rebuilds x_k = x + y Z from the
+stored Z, which costs no preconditioner applications, and stops on one of
+two rules: the usual relative residual (the Givens estimate), or
+'vs_reference', the euclidean norm of the error against a direct
+reference solution.
 """
 
 from dataclasses import dataclass, field
@@ -95,9 +96,9 @@ class Factorization:
     the one it is given: order, a base order as in velocity_first, natural
     by default. The reference solve passes the mesh's nested dissection,
     whose fill at n = 32 is 0.54-0.58 of that of minimum degree on A + A^T
-    (the SuperLU ordering). The unshifted A is kept (CSR), and solve()
-    refines against it while the residual at least halves; it raises
-    FactorizationError if the residual stays above 1e-10 ||b|| or is NaN.
+    (the SuperLU ordering). solve() refines against the unshifted A (CSR)
+    while a step halves the residual, keeping a step only if it lowers it,
+    and raises FactorizationError if it stays above 1e-10 ||b|| or is NaN.
 
     refine=False (the Schwarz local factors, solved many times each): A
     itself is factored, unshifted, in velocity_first(A, order), whose
@@ -156,30 +157,28 @@ class Factorization:
         x = self._lu_solve(b)
         if not self._refine:
             return x
-        # x += LU^{-1} (b - A x) while the residual at least halves, up to
-        # 10 solves; keep the iterate with the smallest residual. An overflow
-        # gives a NaN residual, which ends the loop and fails the check below.
+        # x += LU^{-1} (b - A x) up to 9 times: a step is kept only if it
+        # lowers the residual (never on the NaN residual of an overflow), and
+        # the loop ends after a step that does not halve it
         with np.errstate(over="ignore", invalid="ignore"):
             r = b - self._A @ x
             res = np.linalg.norm(r)
-            best, best_r, best_res = x, r, res
             for _ in range(9):
-                if res == 0.0:
+                x1 = x + self._lu_solve(r)
+                r1 = b - self._A @ x1
+                res1 = np.linalg.norm(r1)
+                if not res1 < res:  # also a NaN or an exactly zero residual
                     break
-                x = x + self._lu_solve(r)
-                r = b - self._A @ x
-                prev, res = res, np.linalg.norm(r)
-                if res < best_res:
-                    best, best_r, best_res = x, r, res
-                if not res <= 0.5 * prev:  # also stops on a NaN residual
+                x, r, res, prev = x1, r1, res1, res
+                if res > 0.5 * prev:
                     break
             # the test on r and b scaled by max|b|, so that ||b|| cannot overflow
             bmax = np.abs(b).max(initial=0.0) or 1.0
-            res, bnorm = np.linalg.norm(best_r / bmax), np.linalg.norm(b / bmax)
+            res, bnorm = np.linalg.norm(r / bmax), np.linalg.norm(b / bmax)
         if not res <= 1e-10 * bnorm:
             raise FactorizationError(
                 f"iterative refinement stalled at relative residual {res / bnorm:.1e}")
-        return best
+        return x
 
 
 @dataclass
@@ -225,7 +224,6 @@ def gmres(apply_A, b, x0=None, apply_M=None, tol=1e-6, x_ref=None, max_iter=1000
     g = np.zeros(m + 1)
     g[0] = beta
     V[0] = r / beta
-    iterate = lambda k: x + solve_triangular(H[:k, :k], g[:k]) @ Z[:k]
 
     history = []
     for j in range(m):
@@ -251,16 +249,11 @@ def gmres(apply_A, b, x0=None, apply_M=None, tol=1e-6, x_ref=None, max_iter=1000
         g[j + 1] = -sn[j] * g[j]
         g[j] = cs[j] * g[j]
 
-        if x_ref is None:
-            val = abs(g[j + 1])
-        else:
-            xk = iterate(j + 1)
-            val = np.linalg.norm(xk - x_ref)
+        xk = x + solve_triangular(H[:j + 1, :j + 1], g[:j + 1]) @ Z[:j + 1]
+        val = abs(g[j + 1]) if x_ref is None else np.linalg.norm(xk - x_ref)
         history.append(val)
         converged = val <= tol * ref_scale
         if converged or breakdown:
             break
-    k = j + 1
-    x = iterate(k) if x_ref is None else xk
-    return x, KrylovReport(iterations=k, history=np.array(history),
-                           converged=converged, basis=V[:k].T)
+    return xk, KrylovReport(iterations=j + 1, history=np.array(history),
+                            converged=converged, basis=V[:j + 1].T)

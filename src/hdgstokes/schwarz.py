@@ -217,11 +217,9 @@ def mras_local_matrix(sysm, dec, i, ic):
     """
     T, dm, dofs = sysm.mesh, sysm.dofmap, dec.dofs[i]
     Ti = Triangulation(T.vertices, T.triangles[dec.elems[i]])
-    edges = np.unique(T.tri_edges[dec.elems[i]])  # global index of each local edge
-    bnd = edges[Ti.boundary_edge]
-    kind = np.full(len(bnd), ic)
-    gamma = T.boundary_edge[bnd]
-    kind[gamma] = dm.boundary_kinds[np.searchsorted(dm.boundary_edges, bnd[gamma])]
+    bnd = np.unique(T.tri_edges[dec.elems[i]])[Ti.boundary_edge]  # global edge ids
+    at = np.searchsorted(dm.boundary_edges, bnd).clip(max=len(dm.boundary_edges) - 1)
+    kind = np.where(dm.boundary_edges[at] == bnd, dm.boundary_kinds[at], ic)
     B = assemble(Ti, build_dof_map(Ti, kind), sysm.nu, sysm.tau, sysm.eps).A
     m = B.shape[0]
     if m < len(dofs):  # the global border dof of a non-floating problem: an identity row

@@ -167,6 +167,20 @@ def test_history_csv(tmp_path):
          6.099641311818644e-05, 3.4331907361883055e-06, 1.1979633344138928e-07], rtol=1e-6)
 
 
+@pytest.mark.parametrize("parts,n_parts,precond,counts", [
+    ("uniform:4x4", 16, "ras", (69, 70, 69)), ("uniform:2x2", 4, "mras-tvnf", (48, 48, 48))],
+    ids=["ras-4x4", "mras-tvnf-2x2"])
+def test_benchmark_iteration_counts(tmp_path, parts, n_parts, precond, counts):
+    # the benchmark's two precond workloads at seeds 0, 1 and 2: a change
+    # that keeps the solver's arithmetic keeps these counts exactly
+    for seed, count in enumerate(counts):
+        out = tmp_path / f"{seed}.csv"
+        assert main(["precond", "--case", "bubble", "--n", "32", "--parts", parts,
+                     "--overlap", "1", "--precond", precond, "--tol", "1e-6",
+                     "--guess", "random", "--seed", str(seed), "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[2] == f"{n_parts},{precond},{count},1"
+
+
 def test_precond_single_subdomain(tmp_path):
     out = tmp_path / "p.csv"
     rc = main(["precond", "--case", "poiseuille", "--n", "4", "--parts",

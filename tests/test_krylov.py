@@ -82,6 +82,30 @@ def test_refined_solve_rejects_nan_residual():
     assert len(calls) == 2
 
 
+def test_refined_solve_keeps_the_last_step_that_lowers_the_residual():
+    # the third LU solve is pushed off, so the second refinement step raises
+    # the residual: solve() must reject it and return the first refined
+    # iterate x0 + LU^{-1} (b - A x0), x0 = LU^{-1} b, bit for bit
+    ex = verify.catalogue("curl_trig")
+    T = generate("unit_square", 4)
+    sysm = system.assemble(T, build_dof_map(T, TVNF), f=ex.f, g=ex.g)
+    F = Factorization(sysm.A, refine=True, order=sysm.order)
+    b, lu_solve = sysm.rhs, F._lu_solve
+    x0 = lu_solve(b)
+    want = x0 + lu_solve(b - sysm.A @ x0)
+    calls = []
+
+    def pushed_off(r):
+        calls.append(1)
+        d = lu_solve(r)
+        return d + 1e-6 if len(calls) == 3 else d
+
+    F._lu_solve = pushed_off
+    x = F.solve(b)
+    assert len(calls) == 3
+    assert x.dtype == want.dtype and x.tobytes() == want.tobytes()
+
+
 def _full_rank(n, order):
     """Rank of each row in a base order: rows past n dropped, missing rows last."""
     order = [i for i in order if i < n]
@@ -343,11 +367,15 @@ def test_gmres_matches_dense_minimal_residual_oracle(k):
     Q, _ = np.linalg.qr(K)
     c = np.linalg.lstsq(C @ Q, r0, rcond=None)[0]
     x_oracle = x0 + P @ (Q @ c)
+    xs = []
     for ref in (None, x_ref):
         x, rep = gmres(lambda v: M @ v, b, x0=x0, apply_M=lambda v: P @ v,
                        tol=0.0, x_ref=ref, max_iter=k)
         assert rep.iterations == k and not rep.converged
         assert np.linalg.norm(x - x_oracle) <= 1e-10 * np.linalg.norm(x_oracle)
+        xs.append(x)
+    # both stopping rules form x_k the same way, so they return the same bits
+    assert xs[0].tobytes() == xs[1].tobytes()
     # vs_reference: the last history entry is the true error of the returned x
     assert rep.history[k - 1] == pytest.approx(np.linalg.norm(x - x_ref), rel=1e-12)
 
@@ -356,8 +384,8 @@ def test_gmres_matches_dense_minimal_residual_oracle(k):
                                 dict(tol=0.0, max_iter=4)],
                          ids=["converged", "max_iter"])
 def test_gmres_residual_mode_iterate_matches_history(kw):
-    # residual mode forms x once, at the end; its true residual must be the
-    # Givens estimate recorded for the last iteration
+    # the iterate of the last step, rebuilt from the stored Z: its true
+    # residual must be the Givens estimate recorded for that step
     M, P, b, x0, _ = _dense_problem(seed=29)
     x, rep = gmres(lambda v: M @ v, b, x0=x0, apply_M=lambda v: P @ v, **kw)
     assert rep.converged == (kw["tol"] > 0)

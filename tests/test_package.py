@@ -41,3 +41,39 @@ def test_only_the_cli_writes_files():
         if any(_writes(c) for c in calls):
             writers.add(path.name)
     assert writers == {"cli.py"}
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_reaches(source, modules):
+    """The names of another module's privates that source reaches: from .x
+    import _name, or m._name where m is a module of the package it imports."""
+    found, bound = [], set()
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "hdgstokes"):
+            for alias in node.names:
+                if _private(alias.name):
+                    found.append(alias.name)
+                elif node.module in (None, "hdgstokes") and alias.name in modules:
+                    bound.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            bound.update(a.asname for a in node.names if a.name.startswith("hdgstokes.") and a.asname)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in bound and _private(node.attr)):
+            found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_module_reaches_into_another_modules_privates():
+    # each module uses the others through their public names only
+    paths = sorted(Path(hdgstokes.__file__).parent.glob("*.py"))
+    modules = {p.stem for p in paths}
+    probe = ("from .verify import _batch, __all__\nfrom . import krylov as k\n"
+             "import hdgstokes.mesh as m\nk._order, k.__doc__, m._x, k.gmres")
+    assert _private_reaches(probe, modules) == ["_batch", "k._order", "m._x"]
+    for path in paths:
+        assert _private_reaches(path.read_text(), modules) == [], path.name

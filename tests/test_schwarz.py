@@ -448,6 +448,40 @@ def test_mras_local_matrix_matches_standalone_assembly(case, n, spec_, l):
         assert np.array_equal(B.data, ref.data)
 
 
+@pytest.mark.parametrize("n", [8, 12])
+@pytest.mark.parametrize("spec_", ["uniform:2x2", "uniform:3x3"])
+@pytest.mark.parametrize("l", [1, 2])
+@pytest.mark.parametrize("ic", [TVNF, NVTF])
+def test_mras_local_matrix_keeps_mixed_gamma_kinds(n, spec_, l, ic):
+    # the global kind changes along Gamma: TVNF on x = 0 and y = 0, NVTF on
+    # x = 1 and y = 1. The expected kinds come from the edge midpoints: a
+    # Gamma edge keeps its side's kind, an interface edge gets ic. The system
+    # has no global border, so a local problem whose kinds are all NVTF
+    # floats and carries its own mean-pressure row one past its dofs
+    ex = verify.catalogue("curl_trig")
+    T = generate("unit_square", n)
+    mid = T.vertices[T.edges[T.boundary_edge]].mean(axis=1)
+    dm = build_dof_map(T, np.where(np.isclose(mid, 0).any(axis=1), TVNF, NVTF))
+    assert dm.mean_constraint_dof is None
+    sysm = system.assemble(T, dm, f=ex.f, g=ex.g)
+    dec = schwarz.build_decomposition(T, dm, schwarz.decompose(T, spec_), l)
+    for i in range(dec.n_parts):
+        tris = T.triangles[dec.elems[i]]
+        verts, local = np.unique(tris, return_inverse=True)
+        Ti = Triangulation(T.vertices[verts], local.reshape(tris.shape))
+        mid = Ti.vertices[Ti.edges[Ti.boundary_edge]].mean(axis=1)
+        on_gamma = (np.isclose(mid, 0) | np.isclose(mid, 1)).any(axis=1)
+        kinds = np.where(on_gamma, np.where(np.isclose(mid, 0).any(axis=1), TVNF, NVTF), ic)
+        ref = system.assemble(Ti, build_dof_map(Ti, kinds), nu=sysm.nu,
+                              tau=sysm.tau, eps=sysm.eps).A
+        B = schwarz.mras_local_matrix(sysm, dec, i, ic).tocsr()
+        B.sort_indices()
+        assert B.shape == ref.shape == (len(dec.dofs[i]) + all(kinds == NVTF),) * 2
+        assert np.array_equal(B.indptr, ref.indptr)
+        assert np.array_equal(B.indices, ref.indices)
+        assert np.array_equal(B.data, ref.data)
+
+
 @pytest.mark.parametrize("kind", ["ras", TVNF, NVTF])
 def test_setup_makes_no_factor_solve(monkeypatch, kind):
     # the set-up check of a local factor is a bare triangular solve, so every
