@@ -195,8 +195,9 @@ def gmres(apply_A, b, x0=None, apply_M=None, tol=1e-6, x_ref=None, max_iter=1000
     apply_A, apply_M: callables v -> A v and v -> M^{-1} v (M defaults to
     the identity). If x_ref is given the iteration stops when
     ||x_k - x_ref||_2 <= tol, otherwise when ||b - A x_k|| <= tol ||b||,
-    or after max_iter (>= 1) steps, or on breakdown (the Krylov space is
-    invariant). Returns (x, KrylovReport); report.history holds the
+    or after max_iter (>= 1) steps, or on breakdown: H[j+1, j] <= 1e-14
+    ||H[:j+2, j]|| (= ||A M^{-1} v_j||), which no scaling of A, M or b
+    moves. Returns (x, KrylovReport); report.history holds the
     stop-criterion value at every iteration. An exact x0 counts as one
     iteration with an empty basis.
     """
@@ -234,7 +235,7 @@ def gmres(apply_A, b, x0=None, apply_M=None, tol=1e-6, x_ref=None, max_iter=1000
             H[i, j] = h = w @ V[i]
             w -= h * V[i]
         H[j + 1, j] = np.linalg.norm(w)
-        breakdown = H[j + 1, j] <= 1e-14 * beta
+        breakdown = H[j + 1, j] <= 1e-14 * np.linalg.norm(H[:j + 2, j])
         if not breakdown:
             V[j + 1] = w / H[j + 1, j]
 

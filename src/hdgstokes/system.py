@@ -6,9 +6,9 @@ The boundary conditions are those of the DofMap, one kind per boundary
 edge (fem_space), and the boundary datum is the traction sigma(u, p) n;
 each boundary edge loads the dofs that its kind does not fix (the normal
 traction its BDM dofs, the tangential traction its multiplier).
-Essential conditions are applied by symmetric row/column elimination to
-identity, in place on the assembled CSR matrix; prescribed nonzero values
-are lifted into the right hand side.
+Essential conditions are eliminated symmetrically on the one assembled
+CSR matrix: one mask zeroes the fixed rows and columns, which get a unit
+diagonal; prescribed values are lifted from the fixed columns' triplets.
 When no boundary edge leaves a normal dof free one bordered row/column
 enforces the zero-mean pressure constraint (entries: triangle areas). The
 MRAS local problems are this same assembly on a subdomain mesh
@@ -88,11 +88,11 @@ def assemble(T, dm, nu=1.0, tau=6.0, eps=-1, f=None, g=None, constrained_values=
     f is the body force f(x, y) and g the boundary traction g(x, y, n); each
     boundary edge adds its loads of g (local_assembly.edge_load) to the dofs
     that its kind in dm does not fix (dm.fixed).
-    constrained_values (aligned with dm.constrained) prescribes nonzero
-    essential values, which are lifted into the right hand side. All
-    triplets (element_triplets) go into one CSR matrix; the constrained dofs
-    are then eliminated to identity in place: their rows and columns are
-    zeroed, their stored diagonal set to 1, and every zero dropped, which
+    constrained_values (one per dof of dm.constrained, else ValueError)
+    prescribes nonzero essential values; only the triplets in fixed columns
+    are lifted into the right hand side. All triplets (element_triplets) go
+    into one CSR matrix; one mask on it zeroes the fixed rows and columns,
+    their stored diagonal is set to 1, and every zero is dropped, which
     also drops the entries that sum to exactly zero.
     """
     n = dm.n_total
@@ -104,25 +104,19 @@ def assemble(T, dm, nu=1.0, tau=6.0, eps=-1, f=None, g=None, constrained_values=
         rhs[edge_dofs(dm.n_edges, dm.boundary_edges)[loaded]] += edge_load(T, g)[loaded]
 
     fixed = dm.constrained
-    x_fixed = np.zeros(n)
-    if constrained_values is not None:
-        x_fixed[fixed] = constrained_values
-        w = x_fixed[cols]
-        w *= vals
-        rhs -= np.bincount(rows, weights=w, minlength=n)
-        del w
-    rhs[fixed] = x_fixed[fixed]
-
-    A = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    del rows, cols, vals
     is_fixed = np.zeros(n, dtype=bool)
     is_fixed[fixed] = True
-    A.data[is_fixed[A.indices]] = 0.0
-    # the stored entries of the constrained rows, row by row
-    start, count = A.indptr[fixed], np.diff(A.indptr)[fixed]
-    at = np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
-    A.data[at] = 0.0
-    A.data[at[A.indices[at] == np.repeat(fixed, count)]] = 1.0
+    if constrained_values is not None:
+        if (k := np.size(constrained_values)) != len(fixed):
+            raise ValueError(f"constrained_values has {k} entries, dm fixes {len(fixed)} dofs")
+        lift = is_fixed[cols]
+        w = vals[lift] * np.asarray(constrained_values)[np.searchsorted(fixed, cols[lift])]
+        rhs -= np.bincount(rows[lift], weights=w, minlength=n)
+    rhs[fixed] = 0.0 if constrained_values is None else constrained_values
+    A = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    del rows, cols, vals
+    A.data[is_fixed[A.indices] | np.repeat(is_fixed, np.diff(A.indptr))] = 0.0
+    A[fixed, fixed] = 1.0  # stored: each fixed dof's element block holds its diagonal
     A.eliminate_zeros()
     return AssembledSystem(A=A, rhs=rhs, dofmap=dm, nu=nu, tau=tau, eps=eps, mesh=T)
 

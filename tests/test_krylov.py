@@ -316,6 +316,22 @@ def test_arnoldi_orthonormal():
     assert np.abs(G - np.eye(G.shape[0])).max() <= 1e-10
 
 
+@pytest.mark.parametrize("reference", [False, True])
+@pytest.mark.parametrize("c", [1.0, 1e-20])
+def test_gmres_breakdown_invariant_to_preconditioner_scale(c, reference):
+    # right preconditioning with c P only rescales the Hessenberg columns, so
+    # the breakdown test must not compare them with ||r0|| (which c leaves alone)
+    rng = np.random.default_rng(11)
+    n = 50
+    M = rng.uniform(-1, 1, size=(n, n)) + np.diag(2.0 * np.ones(n))
+    b = rng.standard_normal(n)
+    d = 1.0 / np.diag(M)
+    x_ref = np.linalg.solve(M, b) if reference else None
+    _, rep = gmres(lambda v: M @ v, b, apply_M=lambda v: c * d * v, tol=1e-10,
+                   x_ref=x_ref, max_iter=n)
+    assert rep.converged and rep.iterations == n
+
+
 def test_gmres_max_iter_not_converged():
     rng = np.random.default_rng(13)
     M = rng.uniform(-1, 1, size=(50, 50)) + np.diag(2.0 * np.ones(50))
