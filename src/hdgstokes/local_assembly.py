@@ -54,12 +54,9 @@ class ElementStack:
         self.n_E = T.edge_n[e]
         self.n_out = T.tri_edge_sign[:, :, None] * self.n_E
 
-        # dof functional matrix: rows (edge, node), columns vector monomials
-        F = np.empty((len(self.area), 6, 6))
-        for m, s in enumerate(BDM_NODES):
-            mono = self.monomials(self.edge_lo + s * self.d)   # (ne, 3, 3)
-            F[:, m::2, 0:3] = self.n_E[..., 0:1] * mono
-            F[:, m::2, 3:6] = self.n_E[..., 1:2] * mono
+        # dof functional matrix: rows (edge, node), columns (component, monomial)
+        mono = self.monomials(self.edge_points(BDM_NODES))   # (ne, 3, 2, 3)
+        F = (self.n_E[:, :, None, :, None] * mono[..., None, :]).reshape(-1, 6, 6)
         try:
             self.coeffs = np.linalg.inv(F)
             # infinity-norm condition numbers; from 1/eps on, the inverse is noise

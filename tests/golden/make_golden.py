@@ -25,7 +25,6 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import platform
 import sys
 import tempfile
@@ -87,27 +86,21 @@ def sha_text(text):
 
 
 def cli_digests(out):
-    """Each command's exit code, stdout, stderr and --out files, run in a
-    scratch directory with the relative --out path out.csv."""
-    cwd = os.getcwd()
+    """Each command's exit code, stdout, stderr and --out files (the CSV
+    comment leaves out the --out path, so a scratch directory serves)."""
     with tempfile.TemporaryDirectory() as tmp:
-        os.chdir(tmp)
-        try:
-            for name, argv in COMMANDS.items():
-                if argv[0] != "info":
-                    argv = argv + ["--out", "out.csv"]
-                stdout, stderr = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                    rc = cli.main(argv)
-                out[f"cli/{name}/exit"] = str(rc)
-                out[f"cli/{name}/stdout"] = sha_text(stdout.getvalue())
-                out[f"cli/{name}/stderr"] = sha_text(stderr.getvalue())
-                for f in ("out.csv", "out.csv.history.csv"):
-                    if os.path.exists(f):
-                        out[f"cli/{name}/{f}"] = sha_text(Path(f).read_text())
-                        os.remove(f)
-        finally:
-            os.chdir(cwd)
+        for name, argv in COMMANDS.items():
+            csv = Path(tmp) / f"{name}.csv"
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                rc = cli.main(argv if argv[0] == "info" else argv + ["--out", str(csv)])
+            out[f"cli/{name}/exit"] = str(rc)
+            out[f"cli/{name}/stdout"] = sha_text(stdout.getvalue())
+            out[f"cli/{name}/stderr"] = sha_text(stderr.getvalue())
+            for suffix in ("", ".history.csv"):
+                f = Path(f"{csv}{suffix}")
+                if f.exists():
+                    out[f"cli/{name}/out.csv{suffix}"] = sha_text(f.read_text())
 
 
 def field_digests(out, tag, T, dm, x, exact):

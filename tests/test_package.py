@@ -1,7 +1,8 @@
-"""The public surface of the package: what `import hdgstokes` exports, and
-which of its modules write files."""
+"""The public surface of the package: what `import hdgstokes` exports, which
+of its modules write files, and that the README's library snippet runs."""
 
 import ast
+import re
 from pathlib import Path
 
 import hdgstokes
@@ -77,3 +78,14 @@ def test_no_module_reaches_into_another_modules_privates():
     assert _private_reaches(probe, modules) == ["_batch", "k._order", "m._x"]
     for path in paths:
         assert _private_reaches(path.read_text(), modules) == [], path.name
+
+
+def test_readme_library_snippet_runs(capsys):
+    # the README's one python block, run as written: a bubble solve with its
+    # error norms, then MRAS-NVTF-preconditioned GMRES against the reference
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    [snippet] = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    namespace = {}
+    exec(snippet, namespace)
+    assert capsys.readouterr().out.startswith("ErrorReport(")
+    assert namespace["rep"].converged

@@ -79,6 +79,54 @@ def test_polynomial_exactness(bc, pressure, eps):
     assert rep.err_l2_p <= 1e-10
 
 
+def p2_pressure_exact(bc, grad):
+    """u = grad . (x, y) for a constant trace-free matrix grad (so div u = 0)
+    and the zero-mean pressure p = x^2 - y^2 + xy - 1/4; f = grad p."""
+    grad = np.asarray(grad, float)
+
+    def u(x, y):
+        return np.stack([np.asarray(x, float), np.asarray(y, float)], axis=-1) @ grad.T
+
+    def grad_u(x, y):
+        return np.broadcast_to(grad, np.shape(x) + (2, 2))
+
+    def lap_u(x, y):
+        return np.zeros(np.shape(x) + (2,))
+
+    return ExactSolution(name="p2", bc=bc, nu=1.0, u=u, grad_u=grad_u,
+                         p=lambda x, y: x ** 2 - y ** 2 + x * y - 0.25, lap_u=lap_u,
+                         grad_p=lambda x, y: np.stack([2 * x + y, x - 2 * y], axis=-1))
+
+
+# pressure robustness: BDM1 velocities are exactly divergence-free, so a
+# gradient force moves only the pressure and u_h does not depend on p
+@pytest.mark.parametrize("bc", [TVNF, NVTF, MIXED])
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("eps", [-1, 1])
+def test_hydrostatic_pressure_leaves_zero_velocity(bc, n, eps):
+    ex = p2_pressure_exact(bc, np.zeros((2, 2)))
+    T, dm, _, x = solve_case(ex, n, eps=eps)
+    p_max = np.abs(ex.p(T.vertices[:, 0], T.vertices[:, 1])).max()
+    assert np.abs(x[:3 * dm.n_edges]).max() <= 1e-14 * p_max
+
+
+@pytest.mark.parametrize("bc", [TVNF, NVTF, MIXED])
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("eps", [-1, 1])
+def test_linear_velocity_with_p2_pressure_is_reproduced(bc, n, eps):
+    ex = p2_pressure_exact(bc, [[1.0, 2.0], [3.0, -1.0]])
+    T, dm, _, x = solve_case(ex, n, eps=eps, lifted=True)
+    xI = verify.interpolate(T, dm, ex)[:3 * dm.n_edges]
+    assert np.abs(x[:3 * dm.n_edges] - xI).max() <= 1e-13 * np.abs(xI).max()
+
+
+def test_bubble_velocity_error_independent_of_viscosity():
+    errs = [verify.error_norms(T, dm, x, ex).err_l2_u
+            for ex in (verify.catalogue("bubble", nu=nu) for nu in (1e-4, 1.0, 1e4))
+            for T, dm, _, x in [solve_case(ex, 8)]]
+    assert np.allclose(errs, errs[1], rtol=1e-3, atol=0), errs
+
+
 def test_sigma_nn_formula_matches_finite_differences():
     # g = sigma n for u=(y,x), p=1 should be (n2 - n1, n1 - n2) (hand derivation)
     ex = linear_exact(TVNF, 1.0)

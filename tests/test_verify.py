@@ -3,6 +3,8 @@ import pytest
 
 from hdgstokes import build_dof_map, generate, refine_uniform
 from hdgstokes import system, verify
+from hdgstokes.fem_space import element_dofs
+from hdgstokes.local_assembly import ElementStack
 
 
 CASES = ["curl_trig", "bubble", "poiseuille"]
@@ -124,6 +126,37 @@ def test_energy_norm_homogeneous():
     n1 = verify.energy_norm(T, dm, v)
     for alpha in (-3.0, 0.5, 7.25):
         assert abs(verify.energy_norm(T, dm, alpha * v) - abs(alpha) * n1) <= 1e-12 * n1
+
+
+MESHES = {"square2": lambda: generate("unit_square", 2),
+          "square8": lambda: generate("unit_square", 8),
+          "t_shape_refined": lambda: refine_uniform(generate("t_shape", 2))}
+
+
+@pytest.mark.parametrize("mesh", sorted(MESHES))
+@pytest.mark.parametrize("bc", ["tvnf", "nvtf"])
+def test_energy_norm_parts_match_closed_form(mesh, bc):
+    # the gradient is constant on K and the trace linear on E, so with no
+    # quadrature: h1 = sum |K| |grad v_K|^2, edge = sum h_K |E| |grad v_K n_E|^2
+    # and stab = sum (tau/h_K) |E| (vtilde_E - v_K(mid_E) . t_E)^2
+    T = MESHES[mesh]()
+    dm = build_dof_map(T, bc)
+    x = np.random.default_rng(9).standard_normal(dm.n_total)
+    gdofs, _ = element_dofs(dm, T.tri_edges)
+    vd, mult = x[gdofs[:, :6]], x[gdofs[:, 6:]]
+    ker = ElementStack(T)
+    G = ker.field_grad(vd)                                           # (nt, 2, 2)
+    e = T.tri_edges
+    L = T.edge_len[e]
+    v_mid = ker.eval_field(vd, T.vertices[T.edges[e]].mean(axis=2))  # (nt, 3, 2)
+    h1 = (T.areas * (G ** 2).sum(axis=(1, 2))).sum()
+    Gn = np.einsum("tij,tkj->tki", G, T.edge_n[e])
+    edge = (T.h_K * (L * (Gn ** 2).sum(axis=2)).sum(axis=1)).sum()
+    jump = mult - np.einsum("tkc,tkc->tk", v_mid, T.edge_t[e])
+    stab = (6.0 / T.h_K * (L * jump ** 2).sum(axis=1)).sum()
+    got = verify.energy_norm(T, dm, x, parts=True)
+    for g, want in zip(got, (h1, edge, stab)):
+        assert abs(g - want) <= 1e-13 * want
 
 
 def test_continuity_constant_bounded_across_refinement():
