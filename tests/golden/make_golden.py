@@ -13,8 +13,15 @@ reference solution, interpolant, error norms and energy-norm parts, the
 element kernel's arrays, and every MRAS local matrix of bubble and
 curl_trig on uniform:2x2 and bisect:3 with overlap 1 and 2 and both
 interface kinds. A jittered n = 8 mesh adds the kernel, interpolants and
-error norms on triangles of every shape. An array's digest covers its
-dtype, shape and bytes; a sparse matrix's covers indptr, indices and data.
+error norms on triangles of every shape. At n = 16: the matrix, load and
+reference solution of each case with eps = -1 and +1, and every MRAS local
+matrix of bubble and curl_trig on uniform:4x4 (overlap 1 and 2, both
+interface kinds). The mixed-kind system at n = 8 (curl_trig data, TVNF on
+x = 0 and y = 0, NVTF on x = 1 and y = 1), with eps = -1 and +1: matrix,
+load, reference solution, error norms, energy-norm parts and its
+uniform:2x2 overlap-1 MRAS local matrices of both interface kinds. An
+array's digest covers its dtype, shape and bytes; a sparse matrix's covers
+indptr, indices and data.
 
 The header records the Python, numpy and scipy versions: floating-point
 bits may differ under others. A change that moves an output regenerates
@@ -37,7 +44,7 @@ ROOT = Path(__file__).resolve().parents[2]
 GOLDEN = Path(__file__).resolve().parent / "golden.json"
 sys.path.insert(0, str(ROOT / "src"))
 
-from hdgstokes import cli, schwarz, system, verify  # noqa: E402
+from hdgstokes import NVTF, TVNF, cli, schwarz, system, verify  # noqa: E402
 from hdgstokes.fem_space import build_dof_map  # noqa: E402
 from hdgstokes.local_assembly import ElementStack  # noqa: E402
 from hdgstokes.mesh import Triangulation, generate  # noqa: E402
@@ -109,6 +116,31 @@ def field_digests(out, tag, T, dm, x, exact):
     out[f"{tag}/energy_parts"] = sha(np.array(verify.energy_norm(T, dm, x, parts=True)))
 
 
+def system_digests(out, tag, T, kinds, exact, eps):
+    """Digests of the system's matrix, load and reference solution; returns
+    the dof map, the system and the solution."""
+    dm = build_dof_map(T, kinds)
+    sysm = system.assemble(T, dm, nu=1.0, tau=6.0, eps=eps, f=exact.f, g=exact.g)
+    x = system.solve_direct(sysm)
+    out[f"{tag}/A"] = sha_csr(sysm.A)
+    out[f"{tag}/rhs"] = sha(sysm.rhs)
+    out[f"{tag}/x"] = sha(x)
+    return dm, sysm, x
+
+
+def mras_digests(out, tag, sysm, specs, overlaps):
+    """Every MRAS local matrix of sysm, both interface kinds."""
+    T = sysm.mesh
+    for spec in specs:
+        parts = schwarz.decompose(T, spec)
+        for l in overlaps:
+            dec = schwarz.build_decomposition(T, sysm.dofmap, parts, l)
+            for ic in ("tvnf", "nvtf"):
+                for i in range(dec.n_parts):
+                    out[f"{tag}/{spec}/l{l}/{ic}/{i}"] = \
+                        sha_csr(schwarz.mras_local_matrix(sysm, dec, i, ic))
+
+
 def array_digests(out):
     T = generate("unit_square", 8)
     rng = np.random.default_rng(0)
@@ -127,25 +159,31 @@ def array_digests(out):
 
     for case in CASES:
         exact = verify.catalogue(case)
-        dm = build_dof_map(T, exact.bc)
         for eps in (-1, 1):
-            sysm = system.assemble(T, dm, nu=1.0, tau=6.0, eps=eps, f=exact.f, g=exact.g)
-            x = system.solve_direct(sysm)
             tag = f"system/{case}/eps{eps:+d}"
-            out[f"{tag}/A"] = sha_csr(sysm.A)
-            out[f"{tag}/rhs"] = sha(sysm.rhs)
-            out[f"{tag}/x"] = sha(x)
+            dm, sysm, x = system_digests(out, tag, T, exact.bc, exact, eps)
             field_digests(out, tag, T, dm, x, exact)
-            if case == "poiseuille" or eps == 1:
-                continue
-            for spec in ("uniform:2x2", "bisect:3"):
-                parts = schwarz.decompose(T, spec)
-                for l in (1, 2):
-                    dec = schwarz.build_decomposition(T, dm, parts, l)
-                    for ic in ("tvnf", "nvtf"):
-                        for i in range(dec.n_parts):
-                            out[f"mras/{case}/{spec}/l{l}/{ic}/{i}"] = \
-                                sha_csr(schwarz.mras_local_matrix(sysm, dec, i, ic))
+            if case != "poiseuille" and eps == -1:
+                mras_digests(out, f"mras/{case}", sysm, ("uniform:2x2", "bisect:3"), (1, 2))
+
+    T16 = generate("unit_square", 16)
+    for case in CASES:
+        exact = verify.catalogue(case)
+        for eps in (-1, 1):
+            _, sysm, _ = system_digests(out, f"n16/system/{case}/eps{eps:+d}", T16, exact.bc,
+                                        exact, eps)
+            if case != "poiseuille" and eps == -1:
+                mras_digests(out, f"n16/mras/{case}", sysm, ("uniform:4x4",), (1, 2))
+
+    # TVNF on the sides x = 0 and y = 0, NVTF on x = 1 and y = 1
+    exact = verify.catalogue("curl_trig")
+    mid = T.vertices[T.edges[T.boundary_edge]].mean(axis=1)
+    kinds = np.where(np.isclose(mid, 0).any(axis=1), TVNF, NVTF)
+    for eps in (-1, 1):
+        tag = f"mixed/eps{eps:+d}"
+        dm, sysm, x = system_digests(out, tag, T, kinds, exact, eps)
+        field_digests(out, tag, T, dm, x, exact)
+        mras_digests(out, f"{tag}/mras", sysm, ("uniform:2x2",), (1,))
 
     errs = [1.0, 0.5, 0.0, 0.1, 0.05, 0.05, 1e-300]
     out["eoc"] = sha(verify.eoc(errs, 0.5 ** np.arange(len(errs))))
