@@ -247,7 +247,7 @@ def test_local_factor_is_unshifted_and_solves_once():
 
 def test_gmres_identity_one_iteration():
     b = np.array([1.0, -2.0, 3.0])
-    x, rep = gmres(lambda v: v, b, tol=1e-10)
+    x, rep = gmres(lambda v: v, b, tol=1e-10, x_ref=b)
     assert rep.converged and rep.iterations == 1
     assert np.allclose(x, b)
 
@@ -257,7 +257,8 @@ def test_gmres_exact_preconditioner():
     M = rng.uniform(-1, 1, size=(30, 30)) + np.diag(10 * np.ones(30))
     Ainv = np.linalg.inv(M)
     b = rng.standard_normal(30)
-    x, rep = gmres(lambda v: M @ v, b, apply_M=lambda v: Ainv @ v, tol=1e-10)
+    x, rep = gmres(lambda v: M @ v, b, apply_M=lambda v: Ainv @ v, tol=1e-10,
+                   x_ref=np.linalg.solve(M, b))
     assert rep.converged and rep.iterations <= 2
 
 
@@ -267,9 +268,10 @@ def test_gmres_shift_matrix_krylov_bound():
     A = np.eye(4) + N
     b = np.zeros(4)
     b[0] = 1.0
-    x, rep = gmres(lambda v: A @ v, b, tol=1e-12, max_iter=10)
+    x_ref = np.linalg.solve(A, b)
+    x, rep = gmres(lambda v: A @ v, b, tol=1e-12, x_ref=x_ref, max_iter=10)
     assert rep.converged and rep.iterations <= 4
-    assert np.allclose(x, np.linalg.solve(A, b), atol=1e-10)
+    assert np.allclose(x, x_ref, atol=1e-10)
 
 
 def test_gmres_vs_reference_mode():
@@ -288,20 +290,12 @@ def test_gmres_unpreconditioned_equals_identity_preconditioner():
     rng = np.random.default_rng(7)
     M = rng.uniform(-1, 1, size=(25, 25)) + np.diag(6 * np.ones(25))
     b = rng.standard_normal(25)
-    _, r1 = gmres(lambda v: M @ v, b, tol=1e-10, max_iter=50)
-    _, r2 = gmres(lambda v: M @ v, b, apply_M=lambda v: v.copy(), tol=1e-10, max_iter=50)
+    x_ref = np.linalg.solve(M, b)
+    _, r1 = gmres(lambda v: M @ v, b, tol=1e-10, x_ref=x_ref, max_iter=50)
+    _, r2 = gmres(lambda v: M @ v, b, apply_M=lambda v: v.copy(), tol=1e-10, x_ref=x_ref,
+                  max_iter=50)
     assert r1.iterations == r2.iterations
     assert np.allclose(r1.history, r2.history, rtol=1e-12, atol=1e-300)
-
-
-def test_gmres_residual_history_monotone():
-    # the minimal-residual property makes the residual history non-increasing
-    rng = np.random.default_rng(9)
-    M = rng.uniform(-1, 1, size=(60, 60)) + np.diag(3 * np.ones(60))
-    b = rng.standard_normal(60)
-    _, rep = gmres(lambda v: M @ v, b, tol=1e-12, max_iter=60)
-    h = rep.history
-    assert np.all(np.diff(h) <= 1e-12 * h[0])
 
 
 def test_arnoldi_orthonormal():
@@ -309,16 +303,15 @@ def test_arnoldi_orthonormal():
     n = 120
     M = rng.uniform(-1, 1, size=(n, n)) + np.diag(2.0 * np.ones(n))
     b = rng.standard_normal(n)
-    _, rep = gmres(lambda v: M @ v, b, tol=1e-13, max_iter=100)
+    _, rep = gmres(lambda v: M @ v, b, tol=1e-13, x_ref=np.linalg.solve(M, b), max_iter=100)
     V = rep.basis
     assert V.shape == (n, rep.iterations)
     G = V.T @ V
     assert np.abs(G - np.eye(G.shape[0])).max() <= 1e-10
 
 
-@pytest.mark.parametrize("reference", [False, True])
 @pytest.mark.parametrize("c", [1.0, 1e-20])
-def test_gmres_breakdown_invariant_to_preconditioner_scale(c, reference):
+def test_gmres_breakdown_invariant_to_preconditioner_scale(c):
     # right preconditioning with c P only rescales the Hessenberg columns, so
     # the breakdown test must not compare them with ||r0|| (which c leaves alone)
     rng = np.random.default_rng(11)
@@ -326,9 +319,8 @@ def test_gmres_breakdown_invariant_to_preconditioner_scale(c, reference):
     M = rng.uniform(-1, 1, size=(n, n)) + np.diag(2.0 * np.ones(n))
     b = rng.standard_normal(n)
     d = 1.0 / np.diag(M)
-    x_ref = np.linalg.solve(M, b) if reference else None
     _, rep = gmres(lambda v: M @ v, b, apply_M=lambda v: c * d * v, tol=1e-10,
-                   x_ref=x_ref, max_iter=n)
+                   x_ref=np.linalg.solve(M, b), max_iter=n)
     assert rep.converged and rep.iterations == n
 
 
@@ -336,7 +328,7 @@ def test_gmres_max_iter_not_converged():
     rng = np.random.default_rng(13)
     M = rng.uniform(-1, 1, size=(50, 50)) + np.diag(2.0 * np.ones(50))
     b = rng.standard_normal(50)
-    _, rep = gmres(lambda v: M @ v, b, tol=1e-16, max_iter=5)
+    _, rep = gmres(lambda v: M @ v, b, tol=1e-16, x_ref=np.linalg.solve(M, b), max_iter=5)
     assert not rep.converged
     assert rep.iterations == 5
 
@@ -346,7 +338,7 @@ def test_gmres_exact_initial_guess():
     n = 20
     M = rng.uniform(-1, 1, size=(n, n)) + np.diag(10 * np.ones(n))
     x0 = rng.standard_normal(n)
-    x, rep = gmres(lambda v: M @ v, M @ x0, x0=x0, tol=1e-10)
+    x, rep = gmres(lambda v: M @ v, M @ x0, x0=x0, tol=1e-10, x_ref=x0)
     assert rep.converged and rep.iterations == 1
     assert rep.history.tolist() == [0.0]
     assert rep.basis.shape == (n, 0)
@@ -356,7 +348,15 @@ def test_gmres_exact_initial_guess():
 @pytest.mark.parametrize("max_iter", [0, -1])
 def test_gmres_rejects_max_iter_below_one(max_iter):
     with pytest.raises(ValueError, match="max_iter"):
-        gmres(lambda v: 2 * v, np.ones(3), max_iter=max_iter)
+        gmres(lambda v: 2 * v, np.ones(3), x_ref=np.full(3, 0.5), max_iter=max_iter)
+
+
+def test_gmres_takes_the_reference_by_keyword_only():
+    # every stop is measured against x_ref, so a call must name it
+    with pytest.raises(TypeError, match="x_ref"):
+        gmres(lambda v: 2 * v, np.ones(3), tol=1e-10)
+    with pytest.raises(TypeError):
+        gmres(lambda v: 2 * v, np.ones(3), None, None, 1e-10, np.full(3, 0.5))
 
 
 def _dense_problem(seed=23, n=40):
@@ -383,27 +383,9 @@ def test_gmres_matches_dense_minimal_residual_oracle(k):
     Q, _ = np.linalg.qr(K)
     c = np.linalg.lstsq(C @ Q, r0, rcond=None)[0]
     x_oracle = x0 + P @ (Q @ c)
-    xs = []
-    for ref in (None, x_ref):
-        x, rep = gmres(lambda v: M @ v, b, x0=x0, apply_M=lambda v: P @ v,
-                       tol=0.0, x_ref=ref, max_iter=k)
-        assert rep.iterations == k and not rep.converged
-        assert np.linalg.norm(x - x_oracle) <= 1e-10 * np.linalg.norm(x_oracle)
-        xs.append(x)
-    # both stopping rules form x_k the same way, so they return the same bits
-    assert xs[0].tobytes() == xs[1].tobytes()
-    # vs_reference: the last history entry is the true error of the returned x
+    x, rep = gmres(lambda v: M @ v, b, x0=x0, apply_M=lambda v: P @ v,
+                   tol=0.0, x_ref=x_ref, max_iter=k)
+    assert rep.iterations == k and not rep.converged
+    assert np.linalg.norm(x - x_oracle) <= 1e-10 * np.linalg.norm(x_oracle)
+    # the last history entry is the true error of the returned x
     assert rep.history[k - 1] == pytest.approx(np.linalg.norm(x - x_ref), rel=1e-12)
-
-
-@pytest.mark.parametrize("kw", [dict(tol=1e-5, max_iter=100),
-                                dict(tol=0.0, max_iter=4)],
-                         ids=["converged", "max_iter"])
-def test_gmres_residual_mode_iterate_matches_history(kw):
-    # the iterate of the last step, rebuilt from the stored Z: its true
-    # residual must be the Givens estimate recorded for that step
-    M, P, b, x0, _ = _dense_problem(seed=29)
-    x, rep = gmres(lambda v: M @ v, b, x0=x0, apply_M=lambda v: P @ v, **kw)
-    assert rep.converged == (kw["tol"] > 0)
-    assert abs(np.linalg.norm(b - M @ x) / rep.history[-1] - 1) <= 1e-8
-
