@@ -127,6 +127,44 @@ def test_bubble_velocity_error_independent_of_viscosity():
     assert np.allclose(errs, errs[1], rtol=1e-3, atol=0), errs
 
 
+def tan_pressure_exact(bc, nu=1.0):
+    """Hydrostatic: u = 0 and the non-polynomial pressure p = tan(xy); f = grad p."""
+
+    def zero_vec(x, y):
+        return np.zeros(np.shape(x) + (2,))
+
+    def grad_p(x, y):
+        return (1 + np.tan(x * y) ** 2)[..., None] * np.stack([y, x], axis=-1)
+
+    return ExactSolution(name="tan", bc=bc, nu=nu, u=zero_vec,
+                         grad_u=lambda x, y: np.zeros(np.shape(x) + (2, 2)),
+                         p=lambda x, y: np.tan(x * y), lap_u=zero_vec, grad_p=grad_p)
+
+
+# the quadrature rules do not integrate a non-polynomial grad p exactly, so
+# u_h is not zero: it is small, falls with h and grows exactly as 1/nu
+@pytest.mark.parametrize("bc", [TVNF, NVTF, MIXED])
+@pytest.mark.parametrize("eps", [-1, 1])
+def test_non_polynomial_hydrostatic_velocity_falls_with_h(bc, eps):
+    peaks = []
+    for n in (8, 16, 32):
+        _, dm, _, x = solve_case(tan_pressure_exact(bc), n, eps)
+        peaks.append(np.abs(x[:3 * dm.n_edges]).max())
+    assert peaks[0] <= 1e-7, peaks
+    assert peaks[0] >= 32 * peaks[1] and peaks[1] >= 32 * peaks[2], peaks
+
+
+@pytest.mark.parametrize("bc", [TVNF, NVTF, MIXED])
+@pytest.mark.parametrize("eps", [-1, 1])
+def test_non_polynomial_hydrostatic_velocity_scales_as_one_over_nu(bc, eps):
+    nu_u = []
+    for nu in (1e-2, 1.0, 1e2):
+        _, dm, _, x = solve_case(tan_pressure_exact(bc, nu), 8, eps)
+        nu_u.append(nu * x[:3 * dm.n_edges])
+    for v in nu_u:
+        assert np.abs(v - nu_u[1]).max() <= 1e-5 * np.abs(nu_u[1]).max()
+
+
 def test_sigma_nn_formula_matches_finite_differences():
     # g = sigma n for u=(y,x), p=1 should be (n2 - n1, n1 - n2) (hand derivation)
     ex = linear_exact(TVNF, 1.0)
@@ -403,6 +441,22 @@ def test_reference_solve_matches_partial_pivot_oracle(bc, case, eps, n):
     residual = lambda y: np.linalg.norm(sysm.A @ y - sysm.rhs)
     assert residual(x) <= residual(x_pp)
     assert np.linalg.norm(x - x_pp) <= 1e-10 * np.linalg.norm(x_pp)
+
+
+# solve_direct factors A unscaled, so its reference loses accuracy as nu
+# grows: ROADMAP item 9 (a power-of-two nu-scaling of the factor) mends it
+UNSCALED_REFERENCE = pytest.mark.xfail(
+    strict=True, raises=(AssertionError, FactorizationError),
+    reason="solve_direct is inaccurate at large nu (ROADMAP item 9)")
+
+
+@pytest.mark.parametrize("nu", [1.0] + [pytest.param(nu, marks=UNSCALED_REFERENCE)
+                                        for nu in (1e4, 1e6, 1e10)])
+@pytest.mark.parametrize("case", ["bubble", "curl_trig"])
+def test_reference_matches_dense_solve_across_viscosity(case, nu):
+    _, _, sysm, x = solve_case(verify.catalogue(case, nu=nu), 8)
+    x_dense = np.linalg.solve(sysm.A.toarray(), sysm.rhs)
+    assert np.linalg.norm(x - x_dense) <= 1e-12 * np.linalg.norm(x_dense)
 
 
 @pytest.mark.parametrize("bc,case", REFERENCE_CASES)
