@@ -97,7 +97,7 @@ def _build_parser():
     i.add_argument("--bc", choices=list(FIXES), default="tvnf")
 
     s = sub.add_parser("solve", parents=[problem], description="solve one case, export fields")
-    s.add_argument("--domain", default="unit_square")
+    s.add_argument("--domain", choices=["unit_square"], default="unit_square")
     s.add_argument("--n", type=_at_least_one)
     return p
 
@@ -245,10 +245,6 @@ def run_info(cfg):
 
 
 def run_solve(cfg):
-    if cfg["domain"] != "unit_square":
-        raise UsageError(
-            "solve supports the unit square only: the T-shaped benchmark mixes "
-            "Dirichlet inflow with TVNF outflow, which is out of scope")
     T = mesh.generate("unit_square", cfg["n"])
     _, sysm, x = _solved(cfg, T)
     dm = sysm.dofmap

@@ -33,17 +33,12 @@ class FactorizationError(Exception):
 
 
 def _base_rank(order, n):
-    """rank[i], the position of row i in the base order (see velocity_first)."""
+    """rank[i], the position of row i in order: None (natural) or a
+    permutation of range(n); anything else raises ValueError."""
     base = np.arange(n) if order is None else np.asarray(order, dtype=np.int64)
-    if len(base) and not 0 <= base.min() <= base.max() < n:
-        raise ValueError(f"base order has rows outside range({n})")
-    rank = np.full(n, -1, dtype=np.int64)
-    rank[base] = np.arange(len(base))
-    missed = rank < 0
-    if np.count_nonzero(missed) != n - len(base):
-        raise ValueError("base order repeats a row")
-    rank[missed] = np.arange(len(base), n)
-    return rank
+    if base.shape != (n,) or not np.array_equal(np.sort(base), np.arange(n)):
+        raise ValueError(f"order is not a permutation of range({n})")
+    return np.argsort(base)
 
 
 def velocity_first(A, order=None):
@@ -51,18 +46,18 @@ def velocity_first(A, order=None):
     (Tuma, SIAM J. Matrix Anal. Appl. 23, 2002; de Niet and Wubs, IMA J.
     Numer. Anal. 29, 2009).
 
-    order is a base order (order[k] the k-th row, default natural); rows it
-    misses rank last, by index, and a repeated row or one outside range(n)
-    raises ValueError. Let pi be the base rank. Rows with a nonzero
-    diagonal (velocities, multipliers, fixed dofs) keep their base order.
-    Each column j of them selects its coupled zero-diagonal row of smallest
-    pi, and each such row p (a pressure) goes right after the first column,
-    by pi, that selects it. A column couples its two element pressures with
-    opposite signs, so the coupling block restricted to these pairs is
-    triangular in pi-order with a nonzero diagonal, and every leading block
-    of the permuted matrix is nonsingular. Zero-diagonal rows coupled to no
-    nonzero-diagonal column (the mean-pressure border) go next, and the
-    pressures no column selects (one per floating component) go last.
+    order is a base order, a permutation of range(n) (order[k] the k-th row,
+    default natural); anything else raises ValueError. Let pi be the base
+    rank. Rows with a nonzero diagonal (velocities, multipliers, fixed dofs)
+    keep their base order. Each column j of them selects its coupled
+    zero-diagonal row of smallest pi, and each such row p (a pressure) goes
+    right after the first column, by pi, that selects it. A column couples
+    its two element pressures with opposite signs, so the coupling block
+    restricted to these pairs is triangular in pi-order with a nonzero
+    diagonal, and every leading block of the permuted matrix is nonsingular.
+    Zero-diagonal rows coupled to no nonzero-diagonal column (the
+    mean-pressure border) go next, and the pressures no column selects (one
+    per floating component) go last.
     """
     n = A.shape[0]
     rank = _base_rank(order, n)
@@ -102,11 +97,11 @@ class Factorization:
     itself is factored, unshifted, in velocity_first(A, order), whose
     leading blocks are all nonsingular, so one triangular solve is exact to
     round-off and solve() is a fixed linear operator. The Schwarz builders
-    pass the mesh's nested dissection restricted to the subdomain as the
-    base order. Set-up solves A x = 1 and raises FactorizationError when
-    the backward error ||1 - A x||_inf / (||A||_inf ||x||_inf + 1), which
-    unlike the residual does not grow with conditioning (Higham 2002, 7.1),
-    exceeds 1e-12, or max|A| ||x||_inf (a condition bound) exceeds 1e14.
+    derive the base order from the mesh's nested dissection. Set-up solves
+    A x = 1 and raises FactorizationError when the backward error
+    ||1 - A x||_inf / (||A||_inf ||x||_inf + 1), which unlike the residual
+    does not grow with conditioning (Higham 2002, 7.1), exceeds 1e-12, or
+    max|A| ||x||_inf (a condition bound) exceeds 1e14.
 
     solve() permutes the vectors, not the matrix.
     """
@@ -122,9 +117,9 @@ class Factorization:
             self._A = A
             z = np.flatnonzero(A.diagonal() == 0)
             M = M + sp.csc_matrix((np.full(len(z), -1e-12 * scale), (z, z)), shape=A.shape)
-            rank = _base_rank(order, self.n)
         else:
-            rank = _base_rank(velocity_first(A, order), self.n)
+            order = velocity_first(A, order)
+        rank = _base_rank(order, self.n)
         self._order = np.argsort(rank)
         # the symmetric permutation in one copy: move the columns, renumber the rows
         M = M[:, self._order]

@@ -4,7 +4,7 @@ Partitions are uniform cell grids, mesh.partition_bisect (the recursive
 coordinate bisection that also orders the reference factor) or a file.
 build_ras(sysm, dec) and build_mras(sysm, dec, ic) differ only in the local
 matrix; both order its factor by krylov.velocity_first from sysm.order
-restricted to the subdomain.
+restricted to the subdomain, then a floating MRAS problem's border row.
 
 Overlap growth follows vertex adjacency: one layer adds every triangle
 sharing at least one vertex with the current set, all parts at once. The
@@ -61,6 +61,8 @@ def parse_strategy(spec):
     if kind not in ("uniform", "bisect", "file"):
         raise ValueError(f"unknown partition strategy {spec!r}")
     if kind == "file":
+        if not arg:
+            raise ValueError(f"malformed partition strategy {spec!r}")
         return ("file", arg)
     try:
         if kind == "uniform":
@@ -182,12 +184,15 @@ class SchwarzPreconditioner:
 
 def _factor_locals(sysm, dec, local_matrix, label):
     """Factors of local_matrix(i), based on sysm.order restricted to subdomain
-    i (a border row past its dofs ranks last); errors name label and i."""
+    i, then the rows past its dofs (the border row of a floating MRAS
+    problem in a TVNF system) by index; errors name label and i."""
     rank = np.argsort(sysm.order)
     factors = []
     for i, dofs in enumerate(dec.dofs):
         try:
-            factors.append(Factorization(local_matrix(i), order=np.argsort(rank[dofs])))
+            B = local_matrix(i)
+            order = np.append(np.argsort(rank[dofs]), np.arange(len(dofs), B.shape[0]))
+            factors.append(Factorization(B, order=order))
         except (FactorizationError, ValueError) as err:  # ValueError: a free constant velocity
             raise type(err)(f"{label} subdomain {i}: {err}") from err
     return SchwarzPreconditioner(dofs=dec.dofs, weights=dec.weights, factors=factors)

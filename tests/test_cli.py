@@ -275,7 +275,7 @@ def test_solve_csv_and_tshape_rejection(tmp_path, capsys):
 
     assert main(["solve", "--case", "poiseuille", "--n", "2",
                  "--domain", "t_shape"]) == 1
-    assert "out of scope" in capsys.readouterr().err
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_config_file_precedence(tmp_path, capsys):
@@ -373,6 +373,7 @@ PRECOND = ["precond", "--case", "bubble", "--n", "4"]
     (["converge", "--config", "CFG"], "case=bubble\nconfig=x\n"),
     (["converge", "--config", "CFG"], "case=bubble\nn=4\n"),
     (PRECOND + ["--parts", "foo:1"], None),
+    (PRECOND + ["--parts", "file:"], None),
     (["converge", "--config", "CFG"], "case=bubble\nbc=tvnf\n"),
     (["converge", "--case", "bubble", "--n0", "2", "--levels", "1", "--out", "TMP/no/x.csv"],
      None),
@@ -385,7 +386,7 @@ PRECOND = ["precond", "--case", "bubble", "--n", "4"]
         "tau-negative", "tau-inf", "tol-inf", "config-nu-nan", "config-overlap-0",
         "seed-negative", "parts-uniform-huge", "parts-bisect-huge", "parts-file-empty",
         "parts-file-negative", "config-no-equals", "config-key-config",
-        "config-ambiguous-key", "parts-unknown", "config-bad-pairing",
+        "config-ambiguous-key", "parts-unknown", "parts-file-no-path", "config-bad-pairing",
         "out-missing-dir-converge", "out-onto-dir-precond", "out-missing-dir-solve"])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv, config):
     cfg = tmp_path / "run.cfg"
@@ -400,3 +401,5 @@ def test_bad_input_is_usage_error(tmp_path, capsys, argv, config):
         assert argv[argv.index("--config") + 1] in err
     if "--out" in argv:
         assert err.startswith(f"error: cannot access {argv[argv.index('--out') + 1]}: ")
+    if "file:" in argv:  # no path is a malformed spec, not a file that cannot be read
+        assert "malformed partition strategy 'file:'" in err

@@ -106,13 +106,10 @@ def test_refined_solve_keeps_the_last_step_that_lowers_the_residual():
     assert x.dtype == want.dtype and x.tobytes() == want.tobytes()
 
 
-def _full_rank(n, order):
-    """Rank of each row in a base order: rows past n dropped, missing rows last."""
-    order = [i for i in order if i < n]
-    seen = set(order)
-    order += [i for i in range(n) if i not in seen]
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
+def _rank(order):
+    """Rank of each row in a base order, a permutation."""
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
     return rank
 
 
@@ -137,11 +134,13 @@ def _rule_by_loops(A, rank):
 
 
 def _schwarz_local_matrices():
-    """(local matrix, base order) of every RAS and MRAS subdomain: bubble (NVTF)
-    on 3x3 parts, whose MRAS-NVTF problems all float, curl_trig (TVNF) on 2x2
-    parts, whose MRAS-NVTF problems carry a border row past the dofs, and
-    bubble on bisect:3 parts with two overlap layers."""
-    for case, spec, l in [("bubble", "uniform:3x3", 1), ("curl_trig", "uniform:2x2", 1),
+    """(local matrix, whole base order) of every RAS and MRAS subdomain, as
+    schwarz orders them: bubble (NVTF) on 3x3 parts, whose MRAS-NVTF problems
+    all float, curl_trig (TVNF) on 3x3 parts, whose centre MRAS-NVTF problem
+    floats and carries a border row past the dofs, and bubble on bisect:3
+    parts with two overlap layers."""
+    past = 0
+    for case, spec, l in [("bubble", "uniform:3x3", 1), ("curl_trig", "uniform:3x3", 1),
                           ("bubble", "bisect:3", 2)]:
         ex = verify.catalogue(case)
         T = generate("unit_square", 8)
@@ -153,13 +152,16 @@ def _schwarz_local_matrices():
             base = np.searchsorted(dofs, sysm.order[np.isin(sysm.order, dofs)])
             yield sysm.A[dofs, :][:, dofs], base
             for ic in (TVNF, NVTF):
-                yield schwarz.mras_local_matrix(sysm, dec, i, ic), base
+                K = schwarz.mras_local_matrix(sysm, dec, i, ic)
+                past += K.shape[0] - len(dofs)
+                yield K, np.append(base, np.arange(len(dofs), K.shape[0]))
+    assert past > 0  # the sweep holds a border row past the dofs
 
 
 def test_velocity_first_order_structure():
     for K, base in _schwarz_local_matrices():
         n = K.shape[0]
-        rank = _full_rank(n, base)
+        rank = _rank(base)
         order = velocity_first(K, base)
         assert np.array_equal(np.sort(order), np.arange(n))
         ref, after = _rule_by_loops(K, rank)
@@ -186,7 +188,7 @@ def test_velocity_first_two_triangle_floating_border():
     D = A.toarray()
     n = len(D)
     base = dissection_order(T, dm)
-    rank = _full_rank(n, base)
+    rank = _rank(base)
     singular = lambda o: [k for k in range(1, n + 1)
                           if np.linalg.matrix_rank(D[np.ix_(o[:k], o[:k])]) < k]
     # each pressure right after its first coupled column, the border last
@@ -202,22 +204,25 @@ def test_velocity_first_two_triangle_floating_border():
     assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
-@pytest.mark.parametrize("order,msg", [([0, 1, 1], "repeats a row"),
-                                       ([0, 3], "outside range"),
-                                       ([-1, 0], "outside range")])
-def test_velocity_first_rejects_bad_base_order(order, msg):
-    with pytest.raises(ValueError, match=msg) as err:
+# the second column names the defect; every one is the same error
+@pytest.mark.parametrize("order,defect", [([0, 1, 1], "repeats a row"),
+                                          ([0, 3], "outside range"),
+                                          ([-1, 0], "outside range"),
+                                          ([0, 1], "short")])
+def test_velocity_first_rejects_bad_base_order(order, defect):
+    with pytest.raises(ValueError, match=r"not a permutation of range\(3\)") as err:
         velocity_first(sp.eye(3, format="csr"), order)
     assert "\n" not in str(err.value)
 
 
 @pytest.mark.parametrize("refine", [True, False])
-@pytest.mark.parametrize("order,msg", [([0, 0, 2], "repeats a row"),
-                                       ([0, 1, 3], "outside range")])
-def test_factorization_rejects_bad_order(refine, order, msg):
+@pytest.mark.parametrize("order,defect", [([0, 0, 2], "repeats a row"),
+                                          ([0, 1, 3], "outside range"),
+                                          ([0, 1], "short")])
+def test_factorization_rejects_bad_order(refine, order, defect):
     # both factor modes check the order as velocity_first checks its base order
     A = sp.csr_matrix(np.array([[4.0, 1, 0], [1, 3, 1], [0, 1, 2]]))
-    with pytest.raises(ValueError, match=msg):
+    with pytest.raises(ValueError, match=r"not a permutation of range\(3\)"):
         Factorization(A, refine=refine, order=order)
 
 
