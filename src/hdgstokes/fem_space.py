@@ -141,10 +141,7 @@ def dissection_order(T, dm):
                            dm.pres_dof(np.arange(nt))])
     end = np.concatenate([np.repeat(e_hi, 3), at + 1])
     size = np.concatenate([np.repeat(e_hi - e_lo, 3), np.ones(nt, dtype=np.int64)])
-    order = dofs[np.lexsort((size, end))]
-    if dm.mean_constraint_dof is not None:
-        order = np.append(order, dm.mean_constraint_dof)
-    return order
+    return np.append(dofs[np.lexsort((size, end))], np.arange(dm.n_geometric, dm.n_total))
 
 
 def vertex_field_at_dofs(edges, triangles, f):

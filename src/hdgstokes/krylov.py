@@ -33,12 +33,12 @@ class FactorizationError(Exception):
 
 
 def _base_rank(order, n):
-    """rank[i], the position of row i in order: None (natural) or a
-    permutation of range(n); anything else raises ValueError."""
+    """(order, rank) with rank[i] the position of row i in order: None (natural)
+    or a permutation of range(n); anything else raises ValueError."""
     base = np.arange(n) if order is None else np.asarray(order, dtype=np.int64)
     if base.shape != (n,) or not np.array_equal(np.sort(base), np.arange(n)):
         raise ValueError(f"order is not a permutation of range({n})")
-    return np.argsort(base)
+    return base, np.argsort(base)
 
 
 def velocity_first(A, order=None):
@@ -60,7 +60,7 @@ def velocity_first(A, order=None):
     per floating component) go last.
     """
     n = A.shape[0]
-    rank = _base_rank(order, n)
+    _, rank = _base_rank(order, n)
     zero = A.diagonal() == 0
     C = sp.coo_matrix(A)
     keep = zero[C.row] & ~zero[C.col] & (C.data != 0)
@@ -103,7 +103,8 @@ class Factorization:
     does not grow with conditioning (Higham 2002, 7.1), exceeds 1e-12, or
     max|A| ||x||_inf (a condition bound) exceeds 1e14.
 
-    solve() permutes the vectors, not the matrix.
+    solve() permutes the vectors, not the matrix: the factor keeps its order and
+    its inverse (rank), and solves by two gathers, x = LU^{-1}(b[order])[rank].
     """
 
     def __init__(self, A, refine=False, order=None):
@@ -119,11 +120,10 @@ class Factorization:
             M = M + sp.csc_matrix((np.full(len(z), -1e-12 * scale), (z, z)), shape=A.shape)
         else:
             order = velocity_first(A, order)
-        rank = _base_rank(order, self.n)
-        self._order = np.argsort(rank)
+        self._order, self._rank = _base_rank(order, self.n)
         # the symmetric permutation in one copy: move the columns, renumber the rows
         M = M[:, self._order]
-        M.indices = rank.astype(M.indices.dtype)[M.indices]
+        M.indices = self._rank.astype(M.indices.dtype)[M.indices]
         M.has_sorted_indices = False
         M.sort_indices()
         try:
@@ -141,9 +141,7 @@ class Factorization:
                 raise FactorizationError("matrix is singular to working precision")
 
     def _lu_solve(self, b):
-        x = np.empty_like(b)
-        x[self._order] = self._lu.solve(b[self._order])
-        return x
+        return self._lu.solve(b[self._order])[self._rank]
 
     def solve(self, b):
         b = np.asarray(b, dtype=float)

@@ -104,9 +104,6 @@ class ElementStack:
         """Constant gradient of the velocity with BDM dof values vd; (ne, 2, 2)."""
         return np.einsum("tjab,tj->tab", self.grads, vd)
 
-    def field_div(self, vd):
-        return np.einsum("tj,tj->t", self.divs, vd)
-
 
 def local_a(ker, nu, tau, eps, out=None):
     """Stacked 9x9 element matrices of the velocity bilinear form; (ne, 9, 9).
