@@ -112,7 +112,7 @@ def _read_config(path):
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise UsageError(f"{path}: bad config line {line!r}")
+            raise UsageError(f"bad config line {line!r}")
         k, _, v = line.partition("=")
         flags.append(f"--{k.strip().replace('_', '-')}={v.strip()}")
     return flags
@@ -135,11 +135,11 @@ def _parse(parser, argv):
     the file. --case and --n are required where a subcommand has them."""
     args = parser.parse_args(argv)
     if getattr(args, "config", None):  # info has no --config
-        flags = _read_config(args.config)
         try:
+            flags = _read_config(args.config)
             if _paired(parser.parse_args([args.command, *flags])).config is not None:
                 raise UsageError("a config file cannot name another one")
-        except UsageError as err:
+        except (UsageError, UnicodeDecodeError) as err:  # an OSError names the file itself
             raise UsageError(f"{args.config}: {err}") from None
         args = parser.parse_args([args.command, *flags, *argv[1:]])
     for key in ("n", "case"):

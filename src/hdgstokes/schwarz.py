@@ -128,7 +128,8 @@ def add_overlap(T, parts, l):
     """Grow each part by l rounds of vertex-adjacent triangles; returns the
     non-overlapping and the overlapped triangle sets (elems0, elems), sorted
     int64 arrays. All parts grow at once: M (n_tris x n_parts) marks them,
-    and with the vertex-triangle incidence Inc a layer is Inc^T Inc M > 0."""
+    and with the vertex-triangle incidence Inc a layer is Inc^T Inc M > 0.
+    The cover only grows, so a layer that adds no triangle ends the growth."""
     if l < 1:
         raise ValueError("overlap l must be at least 1 (partition-of-unity support)")
     nt = T.n_triangles
@@ -138,7 +139,9 @@ def add_overlap(T, parts, l):
     Inc = sp.csc_matrix((np.ones(3 * nt), T.triangles.ravel(), np.arange(0, 3 * nt + 1, 3)))
     IncT = Inc.T.tocsc()
     for _ in range(l):
-        M = IncT @ (Inc @ M) > 0
+        M, nnz = IncT @ (Inc @ M) > 0, M.nnz
+        if M.nnz == nnz:
+            break
     M.sort_indices()  # a no-op unless the products left a column unsorted
     return np.split(own, start[1:-1]), np.split(M.indices.astype(np.int64), M.indptr[1:-1])
 

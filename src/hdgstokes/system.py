@@ -93,15 +93,18 @@ def assemble(T, dm, nu=1.0, tau=6.0, eps=-1, f=None, g=None, constrained_values=
     are lifted into the right hand side. All triplets (element_triplets) go
     into one CSR matrix; one mask on it zeroes the fixed rows and columns,
     their stored diagonal is set to 1, and every zero is dropped, which
-    also drops the entries that sum to exactly zero.
+    also drops the entries that sum to exactly zero. Element matrices that
+    overflow (nu near the top of the float range) raise ValueError.
     """
     n = dm.n_total
     rhs = np.zeros(n)
-    rows, cols, vals = element_triplets(T, dm, nu, tau, eps, rhs=rhs, f=f)
-
-    if g is not None:
-        loaded = ~dm.fixed
-        rhs[edge_dofs(dm.n_edges, dm.boundary_edges)[loaded]] += edge_load(T, g)[loaded]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails below
+        rows, cols, vals = element_triplets(T, dm, nu, tau, eps, rhs=rhs, f=f)
+        if g is not None:
+            loaded = ~dm.fixed
+            rhs[edge_dofs(dm.n_edges, dm.boundary_edges)[loaded]] += edge_load(T, g)[loaded]
+    if not np.isfinite(vals).all():
+        raise ValueError(f"the element matrices overflow at nu = {nu:g}")
 
     fixed = dm.constrained
     is_fixed = np.zeros(n, dtype=bool)

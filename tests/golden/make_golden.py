@@ -2,9 +2,11 @@
 tests/test_golden.py.
 
 Usage:
-    OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 \\
-        python tests/golden/make_golden.py            # print the digests as JSON
-    ... python tests/golden/make_golden.py --write    # rewrite golden.json
+    python tests/golden/make_golden.py            # print the digests as JSON
+    python tests/golden/make_golden.py --write    # rewrite golden.json
+
+The script pins one BLAS thread (OPENBLAS, OMP and MKL) before it imports
+numpy, so the digests never come from a multi-threaded BLAS.
 
 Digested: the CSV, history, stdout, stderr and exit code of a fixed list
 of CLI commands (n <= 16, run in-process); and at n = 8 the assembled
@@ -32,13 +34,17 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import platform
 import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-import scipy
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # before numpy loads its BLAS
+
+import numpy as np  # noqa: E402
+import scipy  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[2]
 GOLDEN = Path(__file__).resolve().parent / "golden.json"

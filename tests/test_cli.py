@@ -134,6 +134,30 @@ def test_overflowing_local_factor_check_is_one_line(capsys):
     assert line == "numerical failure: RAS subdomain 0: matrix is singular to working precision"
 
 
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+@pytest.mark.parametrize("argv", [
+    ["converge", "--case", "bubble", "--nu", "1e308", "--n0", "2", "--levels", "1"],
+    ["solve", "--case", "poiseuille", "--n", "2", "--nu", "1e308"],
+    ["precond", "--case", "bubble", "--n", "4", "--nu", "1e308"],
+], ids=["converge", "solve", "precond"])
+def test_overflowing_element_matrices_are_one_line(capsys, argv):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["numerical failure: the element matrices overflow at nu = 1e+308"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_energy_norm_reads_inf_quietly(capsys):
+    # at nu = 1e307 the matrices are finite, but nu times the energy sum overflows
+    assert main(["converge", "--case", "curl_trig", "--nu", "1e307", "--n0", "2",
+                 "--levels", "1"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    h, err_energy, err_h = out.splitlines()[2].split(",")[:3]
+    assert (err_energy, err_h) == ("inf", "inf")
+
+
 @pytest.mark.filterwarnings("error")
 def test_huge_viscosity_reference_solve_is_quiet(capsys):
     # ||b||_2 overflows at nu = 1e300; the refinement test scales r and b by
@@ -148,6 +172,17 @@ def test_huge_viscosity_reference_solve_is_quiet(capsys):
         [float(v) for v in lines[2].split(",")],
         [0.7071067811865476, 2.222719032545624e+149, 2.222719032545624e+149,
          0.006193782930172519, 0.408248290463863, np.nan, np.nan], rtol=1e-12)
+
+
+def test_overlap_beyond_the_mesh_is_the_whole_mesh_cover(tmp_path):
+    # the overlap growth stops once a layer adds no triangle
+    rows = []
+    for overlap in ("100", "1000000"):
+        out = tmp_path / f"p{overlap}.csv"
+        assert main(["precond", "--case", "bubble", "--n", "8", "--overlap", overlap,
+                     "--out", str(out)]) == 0
+        rows.append(out.read_text().splitlines()[2])
+    assert rows[0] == rows[1]
 
 
 def test_history_csv(tmp_path):
@@ -375,6 +410,8 @@ PRECOND = ["precond", "--case", "bubble", "--n", "4"]
     (PRECOND + ["--parts", "foo:1"], None),
     (PRECOND + ["--parts", "file:"], None),
     (["converge", "--config", "CFG"], "case=bubble\nbc=tvnf\n"),
+    (["converge", "--config", "CFG"], b"case=bubble\nn0=2\xff\n"),
+    (PRECOND + ["--parts", "file:CFG"], b"case=bubble\nn0=2\xff\n"),
     (["converge", "--case", "bubble", "--n0", "2", "--levels", "1", "--out", "TMP/no/x.csv"],
      None),
     (["precond", "--case", "bubble", "--n", "2", "--out", "TMP"], None),
@@ -386,11 +423,13 @@ PRECOND = ["precond", "--case", "bubble", "--n", "4"]
         "tau-negative", "tau-inf", "tol-inf", "config-nu-nan", "config-overlap-0",
         "seed-negative", "parts-uniform-huge", "parts-bisect-huge", "parts-file-empty",
         "parts-file-negative", "config-no-equals", "config-key-config",
-        "config-ambiguous-key", "parts-unknown", "parts-file-no-path", "config-bad-pairing",
+        "config-ambiguous-key", "parts-unknown", "parts-file-no-path", "config-bad-pairing", "config-not-utf8", "parts-file-not-utf8",
         "out-missing-dir-converge", "out-onto-dir-precond", "out-missing-dir-solve"])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv, config):
     cfg = tmp_path / "run.cfg"
-    if config is not None:
+    if isinstance(config, bytes):
+        cfg.write_bytes(config)
+    elif config is not None:
         cfg.write_text(config)
     argv = [a.replace("CFG", str(cfg)).replace("MISSING", str(tmp_path / "none.cfg"))
             .replace("TMP", str(tmp_path)) for a in argv]

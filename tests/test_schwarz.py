@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -123,6 +125,20 @@ def test_overlap_grows_and_covers():
         assert len(elems[i]) > len(elems0[i])
         union.update(elems[i])
     assert union == set(range(T.n_triangles))
+
+
+def test_overlap_stops_when_a_layer_adds_no_triangle():
+    # the growth ends once the cover stops growing, so a huge l returns the
+    # whole-mesh cover of l = 100 at once instead of running 10**9 products
+    T = generate("unit_square", 32)
+    parts = schwarz.decompose(T, "uniform:4x4")
+    want0, want = schwarz.add_overlap(T, parts, 100)
+    start = time.perf_counter()
+    got0, got = schwarz.add_overlap(T, parts, 10**9)
+    assert time.perf_counter() - start < 1.0
+    for a, b in zip(want0 + want, got0 + got):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert all(len(e) == T.n_triangles for e in got)
 
 
 def test_overlap_matches_vertex_bfs_oracle():
