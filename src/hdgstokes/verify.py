@@ -200,14 +200,15 @@ def error_norms(T, dm, x, exact, tau=6.0):
     ker, vd, mult, pres = _element_fields(T, dm, x)
     bary, wv = TRI_RULE
     vol_pts = np.einsum("qb,tbc->tqc", bary, ker.verts)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm reads inf
-        h1_sq, edge_sq, stab_sq = _energy_terms(T, ker, vd, mult, exact.grad_u, vol_pts)
-        xq, yq = vol_pts[..., 0], vol_pts[..., 1]
-        uh = ker.eval_field(vd, vol_pts)
-        udiff = np.asarray(exact.u(xq, yq)) - uh
-        l2u_sq = (T.areas * np.einsum("q,tqc->t", wv, udiff ** 2)).sum()
-        pdiff = np.asarray(exact.p(xq, yq)) - pres[:, None]
-        l2p_sq = (T.areas * np.einsum("q,tq->t", wv, pdiff ** 2)).sum()
+    h1_sq, edge_sq, stab_sq = _energy_terms(T, ker, vd, mult, exact.grad_u, vol_pts)
+    xq, yq = vol_pts[..., 0], vol_pts[..., 1]
+    uh = ker.eval_field(vd, vol_pts)
+    udiff = np.asarray(exact.u(xq, yq)) - uh
+    l2u_sq = (T.areas * np.einsum("q,tqc->t", wv, udiff ** 2)).sum()
+    pdiff = np.asarray(exact.p(xq, yq)) - pres[:, None]
+    l2p_sq = (T.areas * np.einsum("q,tq->t", wv, pdiff ** 2)).sum()
+
+    with np.errstate(over="ignore", invalid="ignore"):  # at huge nu the energy reads inf
         energy_sq = nu * (h1_sq + T.h_K * edge_sq + tau / T.h_K * stab_sq).sum()
     err_energy = np.sqrt(energy_sq)
     err_l2_p = np.sqrt(l2p_sq)
