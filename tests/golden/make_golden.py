@@ -15,7 +15,9 @@ reference solution, interpolant, error norms and energy-norm parts, the
 element kernel's arrays, and every MRAS local matrix of bubble and
 curl_trig on uniform:2x2 and bisect:3 with overlap 1 and 2 and both
 interface kinds. A jittered n = 8 mesh adds the kernel, interpolants and
-error norms on triangles of every shape. At n = 16: the matrix, load and
+error norms on triangles of every shape, and each case's matrix, load,
+reference solution, error norms and energy-norm parts there at eps = +1
+with tau = 6 and at eps = -1 with tau = 20. At n = 16: the matrix, load and
 reference solution of each case with eps = -1 and +1, and every MRAS local
 matrix of bubble and curl_trig on uniform:4x4 (overlap 1 and 2, both
 interface kinds). The mixed-kind system at n = 8 (curl_trig data, TVNF on
@@ -116,17 +118,17 @@ def cli_digests(out):
                     out[f"cli/{name}/out.csv{suffix}"] = sha_text(f.read_text())
 
 
-def field_digests(out, tag, T, dm, x, exact):
-    out[f"{tag}/error_norms"] = sha(np.array(list(vars(verify.error_norms(T, dm, x, exact))
+def field_digests(out, tag, T, dm, x, exact, tau=6.0):
+    out[f"{tag}/error_norms"] = sha(np.array(list(vars(verify.error_norms(T, dm, x, exact, tau))
                                                   .values())))
-    out[f"{tag}/energy_parts"] = sha(np.array(verify.energy_norm(T, dm, x, parts=True)))
+    out[f"{tag}/energy_parts"] = sha(np.array(verify.energy_norm(T, dm, x, tau=tau, parts=True)))
 
 
-def system_digests(out, tag, T, kinds, exact, eps):
+def system_digests(out, tag, T, kinds, exact, eps, tau=6.0):
     """Digests of the system's matrix, load and reference solution; returns
     the system and the solution."""
     dm = build_dof_map(T, kinds)
-    sysm = system.assemble(T, dm, nu=1.0, tau=6.0, eps=eps, f=exact.f, g=exact.g)
+    sysm = system.assemble(T, dm, nu=1.0, tau=tau, eps=eps, f=exact.f, g=exact.g)
     x = system.solve_direct(sysm)
     out[f"{tag}/A"] = sha_csr(sysm.A)
     out[f"{tag}/rhs"] = sha(sysm.rhs)
@@ -162,6 +164,14 @@ def array_digests(out):
             xI = verify.interpolate(M, dm, exact)
             out[f"interpolant/{mesh_name}/{case}"] = sha(xI)
             field_digests(out, f"interpolant/{mesh_name}/{case}", M, dm, xI, exact)
+
+    # the symmetric form needs tau above the mesh's largest element bound, 10.98 here
+    for case in CASES:
+        exact = verify.catalogue(case)
+        for eps, tau in ((1, 6.0), (-1, 20.0)):
+            tag = f"jittered8/system/{case}/eps{eps:+d}/tau{tau:g}"
+            sysm, x = system_digests(out, tag, jittered, exact.bc, exact, eps, tau)
+            field_digests(out, tag, jittered, sysm.dofmap, x, exact, tau)
 
     for case in CASES:
         exact = verify.catalogue(case)
