@@ -100,10 +100,6 @@ class ElementStack:
         return np.stack([np.einsum("tqm,tm->tq", mono, mc[:, 0:3]),
                          np.einsum("tqm,tm->tq", mono, mc[:, 3:6])], axis=-1)
 
-    def field_grad(self, vd):
-        """Constant gradient of the velocity with BDM dof values vd; (ne, 2, 2)."""
-        return np.einsum("tjab,tj->tab", self.grads, vd)
-
 
 def local_a(ker, nu, tau, eps, out=None):
     """Stacked 9x9 element matrices of the velocity bilinear form; (ne, 9, 9).

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -145,7 +147,7 @@ def test_energy_norm_parts_match_closed_form(mesh, bc):
     gdofs, _ = element_dofs(dm, T.tri_edges)
     vd, mult = x[gdofs[:, :6]], x[gdofs[:, 6:]]
     ker = ElementStack(T)
-    G = ker.field_grad(vd)                                           # (nt, 2, 2)
+    G = np.einsum("tjab,tj->tab", ker.grads, vd)                     # (nt, 2, 2)
     e = T.tri_edges
     L = T.edge_len[e]
     v_mid = ker.eval_field(vd, T.vertices[T.edges[e]].mean(axis=2))  # (nt, 3, 2)
@@ -189,6 +191,21 @@ def test_error_norms_zero_solution_positive():
     assert rep.err_energy > 0
     assert rep.err_l2_u > 0
     assert rep.err_h > rep.err_energy  # pressure term adds on
+
+
+@pytest.mark.filterwarnings("error")  # an overflow would warn
+@pytest.mark.parametrize("nu", [1e-320, 1e-8, 4.0 ** 100, 1e307, 1.7e308])
+def test_energy_norms_scale_exactly_with_sqrt_nu(nu):
+    # sqrt(nu) multiplies the root of the sum, so the norm neither overflows
+    # nor loses the digits of a subnormal nu
+    ex = verify.catalogue("curl_trig")
+    T = generate("unit_square", 4)
+    dm = build_dof_map(T, ex.bc)
+    x = system.solve_direct(system.assemble(T, dm, f=ex.f, g=ex.g))
+    scaled = dataclasses.replace(ex, nu=nu)
+    assert (verify.error_norms(T, dm, x, scaled).err_energy
+            == np.sqrt(nu) * verify.error_norms(T, dm, x, ex).err_energy)
+    assert verify.energy_norm(T, dm, x, nu=nu) == np.sqrt(nu) * verify.energy_norm(T, dm, x)
 
 
 def test_bubble_energy_error_halves_under_refinement():
