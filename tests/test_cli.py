@@ -106,15 +106,16 @@ def test_mras_kernel_strip_is_numerical_failure(capsys, case, kind, parts):
     assert "constant velocity" in line
 
 
-@pytest.mark.parametrize("case,kind,iters", [("bubble", "mras-nvtf", (31, 31)),
-                                             ("bubble", "ras", (31, 31)),
-                                             ("curl_trig", "mras-tvnf", (27, 26))])
+@pytest.mark.parametrize("case,kind,iters", [("bubble", "mras-nvtf", (31, 31, 21, 21)),
+                                             ("bubble", "ras", (31, 31, 20, 20)),
+                                             ("curl_trig", "mras-tvnf", (27, 26, 21, 21))])
 def test_sound_strip_iterations(tmp_path, case, kind, iters):
-    for parts, want in zip(("1x4", "4x1"), iters):
+    for parts, want in zip(("1x4", "4x1", "2x1", "1x2"), iters):
         out = tmp_path / "p.csv"
         assert main(["precond", "--case", case, "--n", "16", "--parts", f"uniform:{parts}",
                      "--precond", kind, "--out", str(out)]) == 0
-        assert out.read_text().splitlines()[2] == f"4,{kind},{want},1"
+        n_parts = int(parts[0]) * int(parts[2])
+        assert out.read_text().splitlines()[2] == f"{n_parts},{kind},{want},1"
 
 
 @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line

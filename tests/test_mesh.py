@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hdgstokes import mesh
+from meshes import jittered_square
 
 
 def euler_holds(T):
@@ -124,14 +125,7 @@ def test_edge_normals_reproducible():
             assert np.isclose(n_out @ normals[e], T.tri_edge_sign[k, loc])
 
 
-def jittered_square(n, seed):
-    T = mesh.generate("unit_square", n)
-    inner = (T.vertices > 0).all(axis=1) & (T.vertices < 1).all(axis=1)
-    jitter = np.random.default_rng(seed).uniform(-0.3 / n, 0.3 / n, T.vertices.shape)
-    return mesh.Triangulation(T.vertices + inner[:, None] * jitter, T.triangles)
-
-
-@pytest.mark.parametrize("T", [jittered_square(6, 3), mesh.generate("t_shape", 4)],
+@pytest.mark.parametrize("T", [jittered_square(6, 3, 0.3), mesh.generate("t_shape", 4)],
                          ids=["jittered", "t_shape"])
 def test_edge_frame(T):
     for e, (lo, hi) in enumerate(T.edges):

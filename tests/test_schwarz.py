@@ -565,3 +565,54 @@ def test_vs_reference_history_nonincreasing():
                               apply_M=pre.apply, tol=1e-6, x_ref=x_ref, max_iter=300)
         assert rep.converged
         assert np.all(np.diff(rep.history) <= 1e-12 * rep.history[0])
+
+
+# --- oracles ---------------------------------------------------------------
+
+@pytest.mark.parametrize("spec_", ["uniform:2x1", "uniform:1x2"])
+@pytest.mark.parametrize("l", [1, 2])
+def test_exact_transmission_converges_in_two_steps(spec_, l):
+    # optimal Schwarz: with the Schur complement of its exterior as each local
+    # matrix, two subdomains solve the system in two sweeps; this checks the
+    # shipped restriction, weights and apply against that limit, independently
+    # of mras_local_matrix (TVNF only: an NVTF exterior floats in its pressure)
+    ex, T, dm, sysm = assembled("curl_trig", 8)
+    dec = schwarz.build_decomposition(T, dm, schwarz.decompose(T, spec_), l)
+    A = sysm.A.toarray()
+    factors = []
+    for d in dec.dofs:
+        c = np.setdiff1d(np.arange(dm.n_total), d)
+        S = A[np.ix_(d, d)] - A[np.ix_(d, c)] @ np.linalg.solve(A[np.ix_(c, c)], A[np.ix_(c, d)])
+        factors.append(krylov.Factorization(sp.csr_matrix(S)))
+    pre = schwarz.SchwarzPreconditioner(dofs=dec.dofs, weights=dec.weights, factors=factors)
+    x0 = np.random.default_rng(0).standard_normal(dm.n_total)
+    _, rep = krylov.gmres(lambda v: sysm.A @ v, sysm.rhs, x0=x0, apply_M=pre.apply,
+                          tol=1e-6, x_ref=system.solve_direct(sysm))
+    assert rep.converged and rep.iterations == 2
+
+
+# MRAS with the interface kind opposite to the global one (bubble is NVTF,
+# curl_trig TVNF) is singular on two strips, though each local matrix is
+# sound; the cause is not isolated
+OPPOSITE = {"bubble": "mras-tvnf", "curl_trig": "mras-nvtf"}
+SINGULAR_STRIP = pytest.mark.xfail(strict=True, reason="MRAS on two strips, opposite kind")
+
+
+def preconditioner_case(case, kind, spec_):
+    strips = spec_ in ("uniform:2x1", "uniform:1x2")
+    return pytest.param(case, kind, spec_,
+                        marks=SINGULAR_STRIP if strips and kind == OPPOSITE[case] else ())
+
+
+@pytest.mark.parametrize("case,kind,spec_", [
+    preconditioner_case(case, kind, spec_) for case in ("bubble", "curl_trig")
+    for kind in ("ras", "mras-tvnf", "mras-nvtf")
+    for spec_ in ("uniform:2x1", "uniform:1x2", "uniform:2x2")])
+def test_preconditioner_is_nonsingular(case, kind, spec_):
+    ex, T, dm, sysm = assembled(case, 8)
+    dec = schwarz.build_decomposition(T, dm, schwarz.decompose(T, spec_), 1)
+    pre = schwarz.build_ras(sysm, dec) if kind == "ras" else \
+        schwarz.build_mras(sysm, dec, kind.split("-")[1])
+    M = np.column_stack([pre.apply(e) for e in np.eye(dm.n_total)])
+    s = np.linalg.svd(M, compute_uv=False)
+    assert s[-1] >= 1e-8 * s[0]
