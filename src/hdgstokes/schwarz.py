@@ -3,8 +3,9 @@
 Partitions are uniform cell grids, mesh.partition_bisect (the recursive
 coordinate bisection that also orders the reference factor) or a file.
 build_ras(sysm, dec) and build_mras(sysm, dec, ic) differ only in the local
-matrix; both order its factor by krylov.velocity_first from sysm.order
-restricted to the subdomain, then a floating MRAS problem's border row.
+matrix: R_i A R_i^T, or system.assemble on the mesh of the overlapped
+subdomain's triangles with TVNF or NVTF conditions on its interface edges
+(the subdomain boundary away from Gamma; see mras_local_matrix).
 
 Overlap growth follows vertex adjacency: one layer adds every triangle
 sharing at least one vertex with the current set, all parts at once. The
@@ -15,17 +16,13 @@ overlap layer the indicator of a subdomain vanishes at every dof it does
 not own, which makes sum_i R_i^T D_i R_i = Id exact. No per-part step
 touches more of the mesh than the part's subdomain.
 
-RAS local matrices are R_i A R_i^T. For an NVTF system they keep the
-global mean-pressure border as their last dof.
-
-MRAS local matrices are the global assembly (system.assemble) on the mesh
-of the overlapped subdomain's triangles. Its interface edges (the
-subdomain boundary away from Gamma) are boundary edges of that mesh and
-get homogeneous TVNF or NVTF conditions, which with hybrid dG fix ordinary
-edge dofs; its edges on Gamma keep their global kind. The one rule of
-fem_space.DofMap decides what each edge fixes and whether the local
-problem floats and so gets a mean-pressure border row (for a TVNF global
-system, one extra row past the subdomain's dofs).
+One rule reconciles a local matrix of size m with its subdomain's dofs: it
+covers the first k = min(m, len(dofs)) of them, and its factor is ordered
+by krylov.velocity_first from sysm.order restricted to those, then the rows
+past the dofs. A mean-pressure row of its own past them (a floating MRAS
+problem in a TVNF system) gets 0 in and is dropped. Dofs past the local
+problem (the global border of an NVTF system, which a non-floating MRAS
+problem lacks) pass through unchanged.
 """
 
 import math
@@ -176,25 +173,27 @@ class SchwarzPreconditioner:
     factors: list = field(repr=False)
 
     def apply(self, v):
+        """sum_i R_i^T D_i y_i, y_i the local solve under the module's one rule."""
         out = np.zeros(len(v))
         for dofs, D, F in zip(self.dofs, self.weights, self.factors):
-            r = v[dofs]
-            if F.n > len(dofs):  # local mean-pressure border row
-                r = np.append(r, 0.0)
-            out[dofs] += D * F.solve(r)[:len(dofs)]
+            y = v[dofs]
+            k = min(F.n, len(y))
+            y[:k] = F.solve(y[:k] if F.n == k else np.append(y, 0.0))[:k]
+            out[dofs] += D * y
         return out
 
 
 def _factor_locals(sysm, dec, local_matrix, label):
-    """Factors of local_matrix(i), based on sysm.order restricted to subdomain
-    i, then the rows past its dofs (the border row of a floating MRAS
-    problem in a TVNF system) by index; errors name label and i."""
+    """Factors of local_matrix(i), ordered from sysm.order restricted to the
+    dofs of subdomain i that its m rows cover, then its rows past them (the
+    module's one rule); errors name label and i."""
     rank = np.argsort(sysm.order)
     factors = []
     for i, dofs in enumerate(dec.dofs):
         try:
             B = local_matrix(i)
-            order = np.append(np.argsort(rank[dofs]), np.arange(len(dofs), B.shape[0]))
+            m = B.shape[0]
+            order = np.append(np.argsort(rank[dofs[:m]]), np.arange(len(dofs), m))
             factors.append(Factorization(B, order=order))
         except (FactorizationError, ValueError) as err:  # ValueError: a free constant velocity
             raise type(err)(f"{label} subdomain {i}: {err}") from err
@@ -217,23 +216,19 @@ def mras_local_matrix(sysm, dec, i, ic):
 
     The local mesh keeps the global vertex ids, so it numbers its triangles
     and its edges (sorted vertex pairs) in the global order, and its dofs
-    come in the order of dec.dofs[i]. A local problem whose boundary edges
-    are all NVTF floats and carries its own mean-pressure row at index
-    n_geometric: the global border dof for an NVTF system, one row past the
-    subdomain's dofs for a TVNF one. Otherwise a global border dof passes
-    through as identity.
+    come in the order of dec.dofs[i]. B_i is exactly that assembly. A local
+    problem whose boundary edges are all NVTF floats carries its own
+    mean-pressure row at index n_geometric: the global border dof for an
+    NVTF system, one row past the subdomain's dofs for a TVNF one. Any other
+    has no row for a global border, which SchwarzPreconditioner.apply
+    passes through.
     """
-    T, dm, dofs = sysm.mesh, sysm.dofmap, dec.dofs[i]
+    T, dm = sysm.mesh, sysm.dofmap
     Ti = Triangulation(T.vertices, T.triangles[dec.elems[i]])
     bnd = np.unique(T.tri_edges[dec.elems[i]])[Ti.boundary_edge]  # global edge ids
     at = np.searchsorted(dm.boundary_edges, bnd).clip(max=len(dm.boundary_edges) - 1)
     kind = np.where(dm.boundary_edges[at] == bnd, dm.boundary_kinds[at], ic)
-    B = assemble(Ti, build_dof_map(Ti, kind), sysm.nu, sysm.tau, sysm.eps).A
-    m = B.shape[0]
-    if m < len(dofs):  # the global border dof of a non-floating problem: an identity row
-        B = sp.csr_matrix((np.append(B.data, 1.0), np.append(B.indices, m),
-                           np.append(B.indptr, B.nnz + 1)), shape=(m + 1, m + 1))
-    return B
+    return assemble(Ti, build_dof_map(Ti, kind), sysm.nu, sysm.tau, sysm.eps).A
 
 
 def build_mras(sysm, dec, ic):

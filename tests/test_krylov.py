@@ -136,10 +136,11 @@ def _rule_by_loops(A, rank):
 def _schwarz_local_matrices():
     """(local matrix, whole base order) of every RAS and MRAS subdomain, as
     schwarz orders them: bubble (NVTF) on 3x3 parts, whose MRAS-NVTF problems
-    all float, curl_trig (TVNF) on 3x3 parts, whose centre MRAS-NVTF problem
-    floats and carries a border row past the dofs, and bubble on bisect:3
-    parts with two overlap layers."""
-    past = 0
+    all float and whose MRAS-TVNF problems lack the global border row,
+    curl_trig (TVNF) on 3x3 parts, whose centre MRAS-NVTF problem floats and
+    carries a border row past the dofs, and bubble on bisect:3 parts with two
+    overlap layers."""
+    past = short = 0
     for case, spec, l in [("bubble", "uniform:3x3", 1), ("curl_trig", "uniform:3x3", 1),
                           ("bubble", "bisect:3", 2)]:
         ex = verify.catalogue(case)
@@ -153,9 +154,12 @@ def _schwarz_local_matrices():
             yield sysm.A[dofs, :][:, dofs], base
             for ic in (TVNF, NVTF):
                 K = schwarz.mras_local_matrix(sysm, dec, i, ic)
-                past += K.shape[0] - len(dofs)
-                yield K, np.append(base, np.arange(len(dofs), K.shape[0]))
-    assert past > 0  # the sweep holds a border row past the dofs
+                m = K.shape[0]
+                past += m > len(dofs)
+                short += m < len(dofs)
+                yield K, np.append(base[base < m], np.arange(len(dofs), m))
+    # the sweep holds a border row past the dofs and a global border a local problem lacks
+    assert past > 0 and short > 0
 
 
 def test_velocity_first_order_structure():
