@@ -9,6 +9,7 @@ from hdgstokes.local_assembly import (ElementStack, edge_load, local_a, local_b,
                                       local_load)
 from hdgstokes.mesh import MeshError, Triangulation
 from hdgstokes.quadrature import BDM_NODES, TRI_RULE, edge_gauss
+from meshes import jittered_square
 
 
 def reference_mesh():
@@ -387,3 +388,24 @@ def test_trace_inequality_constant_stable_under_refinement():
             ev = np.einsum("qjc,j->qc", basis(ker, ker.edge_points(params)[0, loc]), dofs)
             bnd += ker.edge_len[0, loc] * np.dot(we, (ev ** 2).sum(axis=1))
         assert ker.h_K[0] * bnd <= C * vol * (1 + 1e-10)
+
+
+def element_lambda_min(T, tau):
+    """Smallest eigenvalue of each symmetric (eps = -1) 9x9 element matrix of
+    the velocity form at nu = 1, relative to its largest entry."""
+    A = local_a(ElementStack(T), 1.0, tau, -1)
+    return np.linalg.eigvalsh(A)[:, 0] / np.abs(A).max(axis=(1, 2))
+
+
+def test_element_coercivity_bound_lies_between_5_85_and_5_87():
+    # ROADMAP item 12 (finding 14): on the structured n = 8 mesh every element
+    # block is PSD from tau = 5.87 (measured >= -6.1e-16) and indefinite at
+    # 5.85 (-9.6e-4 on all 128); a 10% jittered mesh has indefinite blocks at
+    # tau = 6 (60 of 128, down to -0.128) and none at tau = 20
+    T = generate("unit_square", 8)
+    for tau in (5.87, 6.0):
+        assert element_lambda_min(T, tau).min() >= -1e-12, tau
+    assert element_lambda_min(T, 5.85).max() < -1e-4
+    J = jittered_square(8, 2, 0.1)
+    assert element_lambda_min(J, 6.0).min() < -1e-4
+    assert element_lambda_min(J, 20.0).min() >= -1e-12

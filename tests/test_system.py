@@ -506,6 +506,24 @@ def test_reference_matches_dense_solve_across_viscosity(case, nu):
     assert np.linalg.norm(x - x_dense) <= 1e-12 * np.linalg.norm(x_dense)
 
 
+# on finer meshes the refinement of the unscaled factor stalls at moderate
+# nu: one step at n = 32, nu = 1e4 (ROADMAP item 9)
+STALLED_REFINEMENT = pytest.mark.xfail(
+    strict=True, raises=FactorizationError,
+    reason="solve_direct stalls at moderate nu on finer meshes (ROADMAP item 9)")
+
+
+@pytest.mark.parametrize("case,n,nu,eps", [("bubble", 32, 1e3, -1)] + [
+    pytest.param(*args, marks=STALLED_REFINEMENT) for args in [
+        ("bubble", 32, 1e4, -1), ("curl_trig", 32, 1e4, -1), ("poiseuille", 32, 1e4, -1),
+        ("curl_trig", 16, 1e4, 1), ("poiseuille", 8, 1e-4, 1)]])
+def test_reference_solve_refines_to_small_residual(case, n, nu, eps):
+    # the control (nu = 1e3) reads 3.1e-14; the stalled cases raise after
+    # refining to 5.7e-8 ... 1.0e-10
+    _, _, sysm, x = solve_case(verify.catalogue(case, nu=nu), n, eps)
+    assert np.linalg.norm(sysm.A @ x - sysm.rhs) <= 1e-10 * np.linalg.norm(sysm.rhs)
+
+
 @pytest.mark.parametrize("bc,case", REFERENCE_CASES)
 def test_reference_factor_fill_below_partial_pivot(bc, case):
     # the reference factor as solve_direct builds it
