@@ -21,8 +21,8 @@ covers the first k = min(m, len(dofs)) of them, and its factor is ordered
 by krylov.velocity_first from sysm.order restricted to those, then the rows
 past the dofs. A mean-pressure row of its own past them (a floating MRAS
 problem in a TVNF system) gets 0 in and is dropped. Dofs past the local
-problem (the global border of an NVTF system, which a non-floating MRAS
-problem lacks) pass through unchanged.
+problem pass through unchanged; set-up refuses any but the global border of
+an NVTF system, which a non-floating MRAS problem lacks.
 """
 
 import math
@@ -184,15 +184,16 @@ class SchwarzPreconditioner:
 
 
 def _factor_locals(sysm, dec, local_matrix, label):
-    """Factors of local_matrix(i), ordered from sysm.order restricted to the
-    dofs of subdomain i that its m rows cover, then its rows past them (the
-    module's one rule); errors name label and i."""
+    """Factors of local_matrix(i) ordered by the module's one rule (sysm.order
+    on the dofs of subdomain i its m rows cover, then its rows past them); only
+    a global border may go uncovered. Errors name label and i."""
     rank = np.argsort(sysm.order)
     factors = []
     for i, dofs in enumerate(dec.dofs):
         try:
-            B = local_matrix(i)
-            m = B.shape[0]
+            m = (B := local_matrix(i)).shape[0]
+            if m < len(dofs) - (dofs[-1] == sysm.dofmap.mean_constraint_dof):
+                raise ValueError(f"local matrix of size {m} covers too few of {len(dofs)} dofs")
             order = np.append(np.argsort(rank[dofs[:m]]), np.arange(len(dofs), m))
             factors.append(Factorization(B, order=order))
         except (FactorizationError, ValueError) as err:  # ValueError: a free constant velocity

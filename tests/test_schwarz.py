@@ -462,7 +462,8 @@ def test_mras_local_matrix_matches_standalone_assembly(case, n, spec_, l):
                                   tau=sysm.tau, eps=sysm.eps).A
             B = schwarz.mras_local_matrix(sysm, dec, i, ic).tocsr()
             B.sort_indices()
-            assert B.shape == ref.shape, ic
+            size = len(dec.dofs[i]) + all(kinds == NVTF) - (dm.mean_constraint_dof is not None)
+            assert B.shape == ref.shape == (size,) * 2, ic
             assert np.array_equal(B.indptr, ref.indptr), ic
             assert np.array_equal(B.indices, ref.indices), ic
             assert np.array_equal(B.data, ref.data), ic
@@ -500,6 +501,19 @@ def test_mras_local_matrix_keeps_mixed_gamma_kinds(n, spec_, l, ic):
         assert np.array_equal(B.indptr, ref.indptr)
         assert np.array_equal(B.indices, ref.indices)
         assert np.array_equal(B.data, ref.data)
+
+
+@pytest.mark.parametrize("case,short", [("bubble", 2), ("curl_trig", 1)])
+def test_short_local_matrix_raises(monkeypatch, case, short):
+    # only the global border of an NVTF system (bubble) may go uncovered, so
+    # two rows short there and one row short in a TVNF system are rejected
+    ex, T, dm, sysm = assembled(case, 8)
+    dec = schwarz.build_decomposition(T, dm, schwarz.decompose(T, "uniform:2x2"), 1)
+    monkeypatch.setattr(schwarz, "mras_local_matrix", lambda sysm, dec, i, ic:
+                        sysm.A[dec.dofs[i][:-short], :][:, dec.dofs[i][:-short]])
+    m = len(dec.dofs[0]) - short
+    with pytest.raises(ValueError, match=f"^MRAS-tvnf subdomain 0: local matrix of size {m} "):
+        schwarz.build_mras(sysm, dec, TVNF)
 
 
 @pytest.mark.parametrize("kind", ["ras", TVNF, NVTF])
